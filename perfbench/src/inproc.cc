@@ -4,10 +4,11 @@
 // A run is kRounds rounds. Each round builds one standing state from its
 // own seed (derived from --seed): topology::balanced_tree(2, 3) (15
 // brokers), epsilon 0.05, and the first kWarmSubscriptions subscribes of
-// the bench_stream_options() churn_gen stream at uniformly chosen brokers. The round then runs its slice (--seconds / kRounds) of
-// the timed phase on that state. setup_s is the median of the rounds'
-// build times; everything else pools over the rounds, so one run averages
-// over three independent standing states instead of one.
+// the bench_stream_options() churn_gen stream at uniformly chosen brokers.
+// The round then runs its slice (--seconds / kRounds) of the timed phase on
+// that state. setup_s is the median of the rounds' build times; everything
+// else pools over the rounds, so one run averages over three independent
+// standing states instead of one.
 //
 // Every client operation is timed on its own; oracle, generator and replay
 // work run between operations and never inside a timed interval.
@@ -31,8 +32,8 @@ namespace {
 constexpr int kRounds = 3;
 constexpr int kBrokers = 15;
 constexpr double kEpsilon = 0.05;
-// Timed-phase batch sizes for ops_per_s (median of batch rates).
-constexpr std::size_t kChurnBatch = 64;
+// event_routing's ops_per_s is the median of the rates of batches of this
+// many publishes.
 constexpr std::size_t kPublishBatch = 1024;
 // subscription_churn's publishes are 10% of a slow mix, too few for a
 // publish percentile; each round publishes this many on its standing state
@@ -49,6 +50,7 @@ struct phase_stats {
   // (signed: a replayed span can exceed the op it was replayed for).
   std::vector<double> sub_self, unsub_self, pub_self;
   std::uint64_t ops = 0, subs = 0, unsubs = 0, pubs = 0;
+  std::uint64_t sub_ns = 0, unsub_ns = 0, pub_ns = 0;  // Σ op wall time
   std::uint64_t wall_ns = 0;        // traced: op wall minus shadow time
   std::uint64_t attributed_ns = 0;  // traced: part of wall_ns inside a layer span
   std::uint64_t replay_ns = 0, hops = 0;
@@ -93,6 +95,11 @@ class inproc_bench {
       for (const auto& [broker, op] : warm) build_ns += subscribe(setup_, broker, op);
       end(setup_);
       setup_secs.push_back(static_cast<double>(build_ns) / 1e9);
+      // The standing state's table size, where the live count is exactly
+      // kWarmSubscriptions. Publishes leave it unchanged; churn walks the
+      // live count away from it, so the end of a churn slice is no fixed
+      // point to compare covering changes at.
+      routing_entries_ += static_cast<double>(net_->total_routing_entries()) / kRounds;
 
       if (churn_) {
         begin();
@@ -108,12 +115,6 @@ class inproc_bench {
       else
         publish_slice(slice_ns);
       end(timed_);
-      // Scaled to the standing-state size: churn leaves the live count a
-      // random walk away from kWarmSubscriptions, and the table size per
-      // live subscription is what covering changes.
-      routing_entries_ += static_cast<double>(net_->total_routing_entries()) *
-                          kWarmSubscriptions /
-                          static_cast<double>(std::max<std::size_t>(live_.size(), 1)) / kRounds;
       if (net_->active_subscriptions() != live_.size())
         result_.fail("network holds " + std::to_string(net_->active_subscriptions()) +
                      " subscriptions, the benchmark expects " + std::to_string(live_.size()));
@@ -132,7 +133,7 @@ class inproc_bench {
     const phase_stats& subs = sub_source();
     const phase_stats& pubs = pub_source();
     result_.add("setup_s", setup_s_, "s");
-    result_.add("ops_per_s", rates_.median(), "1/s");
+    result_.add("ops_per_s", ops_per_s(), "1/s");
     result_.add("subscribe_p50_ms", subs.sub.quantile_ms(0.50), "ms");
     result_.add("subscribe_p90_ms", subs.sub.quantile_ms(0.90), "ms");
     result_.add("publish_p50_ms", pubs.pub.quantile_ms(0.50), "ms");
@@ -153,7 +154,7 @@ class inproc_bench {
     const phase_stats& pubs = pub_source();
     const double ops = static_cast<double>(std::max<std::uint64_t>(t.ops, 1));
     const double wall = static_cast<double>(std::max<std::uint64_t>(t.wall_ns, 1));
-    result_.add("ops_per_s", rates_.median(), "1/s");
+    result_.add("ops_per_s", ops_per_s(), "1/s");
     add_per_check_metrics(result_, cov_);
     result_.add("covering.checks_per_op", static_cast<double>(t.checks) / ops, "checks/op");
     result_.add("covering.busy_share", static_cast<double>(t.check_ns + t.mutate_ns) / wall,
@@ -188,24 +189,35 @@ class inproc_bench {
   }
 
  private:
-  // Churn slice: the churn_gen stream after its warm-up prefix.
+  // Timed-phase ops per second. subscription_churn: the rate at the
+  // stream's nominal op mix, one over the mix-weighted mean op time. A run
+  // times only a few hundred churn ops, too few for steady batch rates, and
+  // the share of subscribes drawn alone moves a plain ops-per-wall rate by
+  // several percent. event_routing: the median of batch rates.
+  double ops_per_s() const {
+    if (!churn_) return rates_.median();
+    const workload::churn_gen_options o = bench_stream_options();
+    const phase_stats& t = timed_;
+    const double mean_ns =
+        (o.subscribe_weight * ratio(static_cast<double>(t.sub_ns), t.subs) +
+         o.unsubscribe_weight * ratio(static_cast<double>(t.unsub_ns), t.unsubs) +
+         o.publish_weight * ratio(static_cast<double>(t.pub_ns), t.pubs)) /
+        (o.subscribe_weight + o.unsubscribe_weight + o.publish_weight);
+    return mean_ns > 0 ? 1e9 / mean_ns : 0;
+  }
+
+  // Churn slice: the churn_gen stream after its warm-up prefix. Each op is
+  // drawn before its own timed interval starts.
   void churn_slice(std::uint64_t slice_ns) {
     const std::uint64_t deadline = now_ns() + slice_ns;
     while (now_ns() < deadline && result_.correct) {
-      std::vector<std::pair<int, workload::churn_op>> batch;
-      for (std::size_t i = 0; i < kChurnBatch; ++i) {
-        const int broker = static_cast<int>(pick_.index(kBrokers));
-        batch.push_back({broker, gen_->next()});
+      const int broker = static_cast<int>(pick_.index(kBrokers));
+      const workload::churn_op op = gen_->next();
+      switch (op.kind) {
+        case op_kind::subscribe: subscribe(timed_, broker, op); break;
+        case op_kind::unsubscribe: unsubscribe(timed_, op.id); break;
+        case op_kind::publish: publish(timed_, broker, op.ev); break;
       }
-      std::uint64_t batch_ns = 0;
-      for (const auto& [broker, op] : batch) {
-        switch (op.kind) {
-          case op_kind::subscribe: batch_ns += subscribe(timed_, broker, op); break;
-          case op_kind::unsubscribe: batch_ns += unsubscribe(timed_, op.id); break;
-          case op_kind::publish: batch_ns += publish(timed_, broker, op.ev); break;
-        }
-      }
-      rates_.batch(batch.size(), batch_ns);
     }
   }
 
@@ -276,6 +288,7 @@ class inproc_bench {
           timed_op(p, p.sub, p.sub_self, [&] { id = net_->subscribe(broker, op.sub); });
       by_gen_[op.id] = id;
       live_[id] = op.sub;
+      p.sub_ns += wall;
       return wall;
     } catch (const std::exception& e) {
       result_.fail(std::string("subscribe: ") + e.what());
@@ -299,6 +312,7 @@ class inproc_bench {
         result_.fail("unsubscribe: the network did not know id " + std::to_string(it->second));
       live_.erase(it->second);
       by_gen_.erase(it);
+      p.unsub_ns += wall;
       return wall;
     } catch (const std::exception& e) {
       result_.fail(std::string("unsubscribe: ") + e.what());
@@ -320,6 +334,7 @@ class inproc_bench {
       if (got != expected_delivery(live_, ev))
         result_.fail("publish at broker " + std::to_string(broker) +
                      ": the delivered set differs from ground truth");
+      p.pub_ns += wall;
       return wall;
     } catch (const std::exception& e) {
       result_.fail(std::string("publish: ") + e.what());
@@ -361,7 +376,7 @@ class inproc_bench {
 
   run_result result_;
   double setup_s_ = 0;
-  double routing_entries_ = 0;  // mean over the rounds, scaled as above
+  double routing_entries_ = 0;  // after set-up, mean over the rounds
   rate_meter rates_;
   phase_stats setup_, timed_, probe_;
 };

@@ -3,7 +3,7 @@
 //
 // Each daemon adopts a listener the benchmark pre-binds on port 0
 // (transport_options::listen_fd), so back-to-back runs never collide on a
-// port, and keeps its WAL under a per-run temp root inside the scratch
+// port, and keeps its WAL under a per-round temp root inside the scratch
 // directory (fsync off, checkpoint every 64 records: the defaults). The
 // cluster object reaps its daemons on every exit path — destructor, failed
 // verification, exception — and a SIGINT/SIGTERM handler SIGKILLs them so a
@@ -11,13 +11,12 @@
 // also get PR_SET_PDEATHSIG, so even a SIGKILLed benchmark leaves no
 // orphan behind.
 //
-// The client is the benchmark's own: frame_msg / frame_decoder / decode_msg
-// over a blocking socket, one outstanding operation (closed loop), so the
-// traced run can time the client's wire encode and decode separately.
+// The client is the library's cluster_client, one connection per daemon and
+// one outstanding operation (closed loop). The traced run times the
+// client's wire encode and decode by replaying them after each op.
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
+#include <sched.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/prctl.h>
@@ -44,7 +43,12 @@ using namespace subcover;
 namespace {
 
 constexpr int kBrokers = 3;
-constexpr int kRounds = 3;
+// A run is whole rounds, each on a freshly booted cluster, until the timed
+// slices add up to --seconds. A round publishes a fixed count: the daemons'
+// dedup maps and WAL checkpoints grow with every publish, so a time-sliced
+// round would give a faster program a bigger state to publish into.
+constexpr std::size_t kRoundPublishes = 16384;
+constexpr int kMaxRounds = 64;
 constexpr double kEpsilon = 0.05;
 constexpr std::size_t kPublishBatch = 256;
 constexpr int kTimeoutMs = 20000;
@@ -70,103 +74,28 @@ struct daemon_slot {
   covering_trace trace;  // filled by the traced run's covering decorator
 };
 
+// Traced run: the client's wire work, replayed after each op (see
+// replay_wire) so the request itself runs exactly as untraced.
 struct wire_times {
-  std::uint64_t encode_ns = 0, send_ns = 0, wait_ns = 0, decode_ns = 0;
+  std::uint64_t encode_ns = 0, decode_ns = 0;
 };
 
-// Blocking client: one connection to one daemon.
-class bench_client {
- public:
-  bench_client() = default;
-  bench_client(const bench_client&) = delete;
-  bench_client& operator=(const bench_client&) = delete;
-  ~bench_client() { close(); }
-
-  void close() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  void connect(int port) {
-    const std::uint64_t deadline = now_ns() + kTimeoutMs * 1000000ULL;
-    for (;;) {
-      fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd_ < 0) throw std::runtime_error("client: socket failed");
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(static_cast<std::uint16_t>(port));
-      ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-      if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) break;
-      close();
-      if (now_ns() > deadline) throw std::runtime_error("client: connect deadline exceeded");
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    decoder_ = frame_decoder{};
-  }
-
-  // Sends one message that gets no reply (client_shutdown).
-  void send_only(const wire_msg& m) {
-    const auto bytes = frame_msg(m);
-    send_all(bytes);
-  }
-
-  // Sends one message and waits for its reply. `t` (traced run only)
-  // accumulates the client-side stage times.
-  wire_msg request(const wire_msg& m, wire_times* t) {
-    std::uint64_t t0 = t ? now_ns() : 0;
-    const auto bytes = frame_msg(m);
-    if (t) t->encode_ns += lap(t0);
-    send_all(bytes);
-    if (t) t->send_ns += lap(t0);
-    const std::uint64_t deadline = now_ns() + kTimeoutMs * 1000000ULL;
-    for (;;) {
-      std::optional<std::vector<std::uint8_t>> payload = decoder_.next();
-      if (payload) {
-        if (t) t->decode_ns += lap(t0);
-        wire_msg reply = decode_msg(payload->data(), payload->size());
-        if (t) t->decode_ns += lap(t0);
-        return reply;
-      }
-      if (t) t->decode_ns += lap(t0);
-      ssize_t r = 0;
-      for (;;) {
-        if (now_ns() > deadline) throw std::runtime_error("client: request timed out");
-        pollfd p{fd_, POLLIN, 0};
-        const int n = ::poll(&p, 1, 100);
-        if (n < 0 && errno != EINTR) throw std::runtime_error("client: poll failed");
-        if (n <= 0) continue;
-        r = ::recv(fd_, buf_, sizeof buf_, 0);
-        if (r >= 0 || errno != EINTR) break;
-      }
-      if (r <= 0) throw std::runtime_error("client: connection closed by daemon");
-      if (t) t->wait_ns += lap(t0);
-      decoder_.feed(buf_, static_cast<std::size_t>(r));
-    }
-  }
-
- private:
-  void send_all(const std::vector<std::uint8_t>& bytes) {
-    for (std::size_t off = 0; off < bytes.size();) {
-      const ssize_t w = ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-      if (w < 0 && errno == EINTR) continue;
-      if (w <= 0) throw std::runtime_error("client: connection lost on send");
-      off += static_cast<std::size_t>(w);
-    }
-  }
-
-  static std::uint64_t lap(std::uint64_t& t0) {
-    const std::uint64_t t1 = now_ns();
-    const std::uint64_t d = t1 - t0;
-    t0 = t1;
-    return d;
-  }
-
-  int fd_ = -1;
-  frame_decoder decoder_;
-  std::uint8_t buf_[65536];
-};
+// Replays, after the op and outside its timing, the client-side wire calls
+// cluster_client::request made inside it: frame_msg of the request, then
+// frame_decoder reassembly and decode_msg of the reply's bytes.
+void replay_wire(const wire_msg& request, const wire_msg& reply, wire_times& t) {
+  const std::vector<std::uint8_t> reply_bytes = frame_msg(reply);
+  std::uint64_t t0 = now_ns();
+  [[maybe_unused]] const std::vector<std::uint8_t> request_bytes = frame_msg(request);
+  t.encode_ns += now_ns() - t0;
+  t0 = now_ns();
+  frame_decoder dec;
+  dec.feed(reply_bytes.data(), reply_bytes.size());
+  const std::optional<std::vector<std::uint8_t>> payload = dec.next();
+  if (!payload) throw std::runtime_error("wire replay: the reply frame did not reassemble");
+  [[maybe_unused]] const wire_msg decoded = decode_msg(payload->data(), payload->size());
+  t.decode_ns += now_ns() - t0;
+}
 
 int bind_loopback_listener(int* port_out) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -185,6 +114,27 @@ int bind_loopback_listener(int* port_out) {
   }
   *port_out = ntohs(addr.sin_port);
   return fd;
+}
+
+// Pins the benchmark, and so the daemons it forks, to the highest CPU it
+// may run on. A closed loop then always has exactly one runnable process,
+// and each hop of a round trip is a context switch on that CPU. Spread
+// over several idle vCPUs, a hop could be a cross-CPU wake-up, whose
+// latency probably follows the load on the virtualisation host: publish
+// p50 moved between ~22 and ~33 us from one run to the next.
+void pin_to_one_cpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (::sched_getaffinity(0, sizeof allowed, &allowed) != 0) return;
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0; --cpu) {
+    if (!CPU_ISSET(cpu, &allowed)) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (::sched_setaffinity(0, sizeof one, &one) != 0)
+      throw std::runtime_error("cannot pin the benchmark to CPU " + std::to_string(cpu));
+    return;
+  }
 }
 
 std::vector<std::uint64_t> event_values(const event& e) {
@@ -210,7 +160,7 @@ class cluster {
       for (int b = 0; b < kBrokers; ++b) new (&slots_[b]) daemon_slot{};
       for (int b = 0; b < kBrokers; ++b) fds_[b] = bind_loopback_listener(&ports_[b]);
       for (int b = 0; b < kBrokers; ++b) spawn(b, traced);
-      for (int b = 0; b < kBrokers; ++b) clients_[b].connect(ports_[b]);
+      for (int b = 0; b < kBrokers; ++b) clients_[b].connect("127.0.0.1", ports_[b], kTimeoutMs);
     } catch (...) {
       teardown();
       throw;
@@ -220,9 +170,7 @@ class cluster {
   cluster& operator=(const cluster&) = delete;
   ~cluster() { teardown(); }
 
-  wire_msg request(int b, const wire_msg& m, wire_times* t = nullptr) {
-    return clients_[b].request(m, t);
-  }
+  wire_msg request(int b, const wire_msg& m) { return clients_[b].request(m, kTimeoutMs); }
 
   // Summed daemon counters, via client_dump.
   network_metrics dump_metrics() {
@@ -258,7 +206,7 @@ class cluster {
   bool shutdown() {
     wire_msg bye;
     bye.type = msg_type::client_shutdown;
-    for (int b = 0; b < kBrokers; ++b) clients_[b].send_only(bye);
+    for (int b = 0; b < kBrokers; ++b) clients_[b].send(bye);
     bool clean = true;
     const std::uint64_t deadline = now_ns() + 10'000'000'000ULL;
     for (int b = 0; b < kBrokers; ++b) {
@@ -354,12 +302,13 @@ class cluster {
   int fds_[kBrokers] = {-1, -1, -1};
   int ports_[kBrokers] = {0, 0, 0};
   pid_t pids_[kBrokers] = {-1, -1, -1};
-  bench_client clients_[kBrokers];
+  cluster_client clients_[kBrokers];
 };
 
 }  // namespace
 
 run_result run_tcp_cluster(const run_config& cfg) {
+  pin_to_one_cpu();
   struct sigaction sa{};
   sa.sa_handler = on_terminate_signal;
   ::sigemptyset(&sa.sa_mask);
@@ -384,22 +333,26 @@ run_result run_tcp_cluster(const run_config& cfg) {
   wire_times wt;
 
   // One client op: checks client_done with status 0, returns wall time.
+  // The traced run replays the wire calls of the ops given `t`.
   const auto op = [&](cluster& c, int b, const wire_msg& m, wire_times* t,
                       wire_msg* reply) -> std::uint64_t {
     ++res.attempted;
     if (g_interrupted.load()) throw std::runtime_error("interrupted by a signal");
     const std::uint64_t t0 = now_ns();
-    *reply = c.request(b, m, t);
+    *reply = c.request(b, m);
     const std::uint64_t wall = now_ns() - t0;
+    if (t) replay_wire(m, *reply, *t);
     if (reply->type != msg_type::client_done || reply->status != 0)
       res.fail("client op at broker " + std::to_string(b) + " returned status " +
                std::to_string(reply->status));
     return wall;
   };
 
-  const auto slice_ns = static_cast<std::uint64_t>(cfg.seconds * 1e9 / kRounds);
-  for (int k = 0; k < kRounds && res.correct; ++k) {
-    const std::uint64_t seed = cfg.seed * kRounds + static_cast<std::uint64_t>(k);
+  const auto run_ns = static_cast<std::uint64_t>(cfg.seconds * 1e9);
+  std::uint64_t timed_ns = 0;  // wall time of the timed slices so far
+  int rounds = 0;
+  for (; timed_ns < run_ns && rounds < kMaxRounds && res.correct; ++rounds) {
+    const std::uint64_t seed = cfg.seed * kMaxRounds + static_cast<std::uint64_t>(rounds);
     workload::churn_gen gen(sch, go, seed);
     workload::event_gen events(sch, seed + 7);
     rng pick(seed * 0x9E3779B97F4A7C15ULL + 1);
@@ -430,8 +383,8 @@ run_result run_tcp_cluster(const run_config& cfg) {
     const covering_trace cov_before = c.merged_trace();
     const long rss_before = c.sum_status_kb("VmRSS");
     sub_msgs += before.subscription_messages;
-    const std::uint64_t deadline = now_ns() + slice_ns;
-    while (now_ns() < deadline && res.correct) {
+    const std::uint64_t slice_start = now_ns();
+    for (std::size_t n = 0; n < kRoundPublishes && res.correct; n += kPublishBatch) {
       std::vector<std::pair<int, event>> batch;
       for (std::size_t i = 0; i < kPublishBatch; ++i) {
         const int b = static_cast<int>(pick.index(kBrokers));
@@ -453,11 +406,12 @@ run_result run_tcp_cluster(const run_config& cfg) {
       rtt_ns += batch_ns;
       rates.batch(batch.size(), batch_ns);
     }
+    timed_ns += now_ns() - slice_start;
     const network_metrics after = c.dump_metrics();
     const covering_trace cov_after = c.merged_trace();
     rss_growth_kb += c.sum_status_kb("VmRSS") - rss_before;
-    routing_entries += static_cast<double>(c.routing_entries()) / kRounds;
-    peak_mb += static_cast<double>(c.sum_status_kb("VmHWM")) / 1024.0 / kRounds;
+    routing_entries += static_cast<double>(c.routing_entries());
+    peak_mb += static_cast<double>(c.sum_status_kb("VmHWM")) / 1024.0;
     timed.event_messages += after.event_messages - before.event_messages;
     timed.bytes_on_wire += after.bytes_on_wire - before.bytes_on_wire;
     timed.wal_bytes += after.wal_bytes - before.wal_bytes;
@@ -485,8 +439,8 @@ run_result run_tcp_cluster(const run_config& cfg) {
     res.add("sub_msgs_per_subscribe",
             ratio(static_cast<double>(sub_msgs), kWarmSubscriptions * setup_secs.size()), "msg/op");
     res.add("event_msgs_per_publish", static_cast<double>(timed.event_messages) / ops, "msg/op");
-    res.add("routing_entries", routing_entries, "count");
-    res.add("peak_rss_mb", peak_mb, "MB");
+    res.add("routing_entries", routing_entries / rounds, "count");
+    res.add("peak_rss_mb", peak_mb / rounds, "MB");
     return res;
   }
 
@@ -510,19 +464,20 @@ run_result run_tcp_cluster(const run_config& cfg) {
   res.add("wire.decode_us_per_op", static_cast<double>(wt.decode_ns) / 1e3 / ops, "us");
   res.add("wire.bytes_per_op", static_cast<double>(timed.bytes_on_wire) / ops, "B");
   res.add("wal.bytes_per_op", static_cast<double>(timed.wal_bytes) / ops, "B");
-  res.add("transport.residual_us_per_op",
-          (static_cast<double>(rtt_ns) - static_cast<double>(wt.encode_ns + wt.decode_ns) -
-           static_cast<double>(timed.covering_check_ns)) /
-              1e3 / ops,
-          "us");
+  // Layer spans: the client's wire encode and decode, and the daemons'
+  // covering checks. The residual is the kernel, the daemons' poll loops,
+  // WAL appends and ack aggregation, which no span reaches from outside.
+  const double spans =
+      static_cast<double>(wt.encode_ns + wt.decode_ns + timed.covering_check_ns);
+  const double residual_ns = static_cast<double>(rtt_ns) - spans;
+  res.add("transport.residual_us_per_op", residual_ns / 1e3 / ops, "us");
   res.add("transport.partial_writes_per_op", static_cast<double>(timed.partial_writes) / ops,
           "count/op");
   res.add("transport.reconnects", static_cast<double>(reconnects), "count");
   res.add("transport.heartbeats_missed", static_cast<double>(heartbeats_missed), "count");
   res.add("transport.daemon_rss_growth_kb_per_kop",
           static_cast<double>(rss_growth_kb) / (ops / 1e3), "kB/kop");
-  const double spans = static_cast<double>(wt.encode_ns + wt.send_ns + wt.wait_ns + wt.decode_ns);
-  res.add("trace.unaccounted_share", 1.0 - ratio(spans, rtt_ns), "ratio");
+  res.add("trace.unaccounted_share", ratio(residual_ns, rtt_ns), "ratio");
   return res;
 }
 

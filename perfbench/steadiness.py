@@ -6,9 +6,11 @@ interquartile spread (q3 - q1) / median and the full range
 
 Run from the repository root:
 
-    python3 perfbench/steadiness.py --workload event_routing --runs 10 \
-        [--seconds 21] [--first-seed 1] [--trace 0] [--out runs.jsonl]
-    python3 perfbench/steadiness.py --from runs.jsonl   # re-summarise saved runs
+    python3 perfbench/steadiness.py --workload event_routing [--runs 10] \
+        [--seconds 15] [--first-seed 1]
+
+Each run is `run.py --trace 0` (the end-to-end metrics, which have bounds);
+--seconds defaults to BENCHMARK.json's run_seconds.
 
 Quartiles are statistics.quantiles(values, n=4), the same computation the
 acceptance check of a benchmark change uses. A run that exits non-zero or
@@ -34,7 +36,7 @@ def collect(args):
     for i in range(args.runs):
         seed = args.first_seed + i
         cmd = [sys.executable, os.path.join(BENCH_DIR, "run.py"), "--workload", args.workload,
-               "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+               "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
         lines = [line for line in proc.stdout.splitlines() if line.strip()]
         if proc.returncode != 0 or not lines:
@@ -42,12 +44,8 @@ def collect(args):
         row = json.loads(lines[-1])
         if not row["correct"]:
             sys.exit(f"run with seed {seed} reported incorrect output")
-        row["seed"] = seed
         rows.append(row)
         print(f"seed {seed}: ok ({row['attempted']} ops)", file=sys.stderr)
-        if args.out:
-            with open(args.out, "a") as f:
-                f.write(json.dumps(row) + "\n")
     return rows
 
 
@@ -71,27 +69,17 @@ def report(rows, bounds):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload")
+    parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", help="append each run's JSON result to this file")
-    parser.add_argument("--from", dest="from_file", help="summarise saved results instead")
     args = parser.parse_args()
 
     config = bench_config()
     bounds = {m["name"]: m["bound"] for m in config["end_to_end"]}
-    if args.from_file:
-        with open(args.from_file) as f:
-            rows = [json.loads(line) for line in f if line.strip()]
-    else:
-        if not args.workload:
-            parser.error("--workload is required unless --from is given")
-        if args.seconds is None:
-            args.seconds = config["run_seconds"]
-        rows = collect(args)
-    report(rows, bounds)
+    if args.seconds is None:
+        args.seconds = config["run_seconds"]
+    report(collect(args), bounds)
 
 
 if __name__ == "__main__":
