@@ -25,11 +25,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cerrno>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <new>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -43,11 +48,14 @@ using namespace subcover;
 namespace {
 
 constexpr int kBrokers = 3;
-// A run is whole rounds, each on a freshly booted cluster, until the timed
-// slices add up to --seconds. A round publishes a fixed count: the daemons'
-// dedup maps and WAL checkpoints grow with every publish, so a time-sliced
-// round would give a faster program a bigger state to publish into.
-constexpr std::size_t kRoundPublishes = 16384;
+// A run is whole rounds, each on a freshly booted cluster, until the run's
+// wall time (set-up and timed slices) reaches --seconds. A round publishes a
+// fixed count: the daemons' dedup maps and WAL checkpoints grow with every
+// publish, so a time-sliced round would give a faster program a bigger state
+// to publish into. The count is small so that the checkpoints, the slowest
+// publishes, stay small: with 16384 their cost followed the host's load and
+// moved ops_per_s with it (README.md).
+constexpr std::size_t kRoundPublishes = 4096;
 constexpr int kMaxRounds = 64;
 constexpr double kEpsilon = 0.05;
 constexpr std::size_t kPublishBatch = 256;
@@ -116,25 +124,66 @@ int bind_loopback_listener(int* port_out) {
   return fd;
 }
 
-// Pins the benchmark, and so the daemons it forks, to the highest CPU it
-// may run on. A closed loop then always has exactly one runnable process,
-// and each hop of a round trip is a context switch on that CPU. Spread
-// over several idle vCPUs, a hop could be a cross-CPU wake-up, whose
-// latency probably follows the load on the virtualisation host: publish
-// p50 moved between ~22 and ~33 us from one run to the next.
+// Device interrupts each CPU has served since boot, by CPU number, from
+// /proc/interrupts (numbered lines only: LOC, RES and the like are not
+// devices). Empty if the file is unreadable.
+std::map<int, std::uint64_t> device_interrupts_by_cpu() {
+  std::ifstream in("/proc/interrupts");
+  std::string line;
+  if (!std::getline(in, line)) return {};
+  std::vector<int> cpus;  // the header names the online CPUs: "CPU0 CPU1 ..."
+  std::istringstream header(line);
+  for (std::string name; header >> name;)
+    if (name.rfind("CPU", 0) == 0) cpus.push_back(std::atoi(name.c_str() + 3));
+  std::map<int, std::uint64_t> count;
+  for (const int cpu : cpus) count[cpu] = 0;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string irq;
+    fields >> irq;
+    if (irq.empty() || std::isdigit(static_cast<unsigned char>(irq[0])) == 0) continue;
+    std::uint64_t n = 0;
+    for (const int cpu : cpus) {
+      if (!(fields >> n)) break;
+      count[cpu] += n;
+    }
+  }
+  return count;
+}
+
+// Pins the benchmark, and so the daemons it forks, to one CPU: of those it
+// may run on, the one that has served the fewest device interrupts (the
+// highest on a tie or without /proc/interrupts). A closed loop then always
+// has exactly one runnable process, and each hop of a round trip is a
+// context switch on that CPU. Spread over several idle vCPUs, a hop could be
+// a cross-CPU wake-up, whose latency probably follows the load on the
+// virtualisation host: publish p50 moved between ~22 and ~33 us from one run
+// to the next. The CPU that completes disk I/O is avoided because WAL
+// checkpoints write to disk: pinned beside the disk's interrupts, the
+// benchmark published slowest of three CPUs in three of three trials
+// (README.md).
 void pin_to_one_cpu() {
   cpu_set_t allowed;
   CPU_ZERO(&allowed);
   if (::sched_getaffinity(0, sizeof allowed, &allowed) != 0) return;
+  const std::map<int, std::uint64_t> interrupts = device_interrupts_by_cpu();
+  int best = -1;
+  std::uint64_t best_count = 0;
   for (int cpu = CPU_SETSIZE - 1; cpu >= 0; --cpu) {
     if (!CPU_ISSET(cpu, &allowed)) continue;
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpu, &one);
-    if (::sched_setaffinity(0, sizeof one, &one) != 0)
-      throw std::runtime_error("cannot pin the benchmark to CPU " + std::to_string(cpu));
-    return;
+    const auto it = interrupts.find(cpu);
+    const std::uint64_t n = it == interrupts.end() ? 0 : it->second;
+    if (best < 0 || n < best_count) {
+      best = cpu;
+      best_count = n;
+    }
   }
+  if (best < 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(best, &one);
+  if (::sched_setaffinity(0, sizeof one, &one) != 0)
+    throw std::runtime_error("cannot pin the benchmark to CPU " + std::to_string(best));
 }
 
 std::vector<std::uint64_t> event_values(const event& e) {
@@ -349,9 +398,9 @@ run_result run_tcp_cluster(const run_config& cfg) {
   };
 
   const auto run_ns = static_cast<std::uint64_t>(cfg.seconds * 1e9);
-  std::uint64_t timed_ns = 0;  // wall time of the timed slices so far
+  const std::uint64_t run_start = now_ns();
   int rounds = 0;
-  for (; timed_ns < run_ns && rounds < kMaxRounds && res.correct; ++rounds) {
+  for (; now_ns() - run_start < run_ns && rounds < kMaxRounds && res.correct; ++rounds) {
     const std::uint64_t seed = cfg.seed * kMaxRounds + static_cast<std::uint64_t>(rounds);
     workload::churn_gen gen(sch, go, seed);
     workload::event_gen events(sch, seed + 7);
@@ -383,7 +432,6 @@ run_result run_tcp_cluster(const run_config& cfg) {
     const covering_trace cov_before = c.merged_trace();
     const long rss_before = c.sum_status_kb("VmRSS");
     sub_msgs += before.subscription_messages;
-    const std::uint64_t slice_start = now_ns();
     for (std::size_t n = 0; n < kRoundPublishes && res.correct; n += kPublishBatch) {
       std::vector<std::pair<int, event>> batch;
       for (std::size_t i = 0; i < kPublishBatch; ++i) {
@@ -406,7 +454,6 @@ run_result run_tcp_cluster(const run_config& cfg) {
       rtt_ns += batch_ns;
       rates.batch(batch.size(), batch_ns);
     }
-    timed_ns += now_ns() - slice_start;
     const network_metrics after = c.dump_metrics();
     const covering_trace cov_after = c.merged_trace();
     rss_growth_kb += c.sum_status_kb("VmRSS") - rss_before;
@@ -435,7 +482,7 @@ run_result run_tcp_cluster(const run_config& cfg) {
     res.add("subscribe_p50_ms", sub_h->quantile_ms(0.50), "ms");
     res.add("subscribe_p90_ms", sub_h->quantile_ms(0.90), "ms");
     res.add("publish_p50_ms", pub_h->quantile_ms(0.50), "ms");
-    res.add("publish_p99_ms", pub_h->quantile_ms(0.99), "ms");
+    res.add("publish_p90_ms", pub_h->quantile_ms(0.90), "ms");
     res.add("sub_msgs_per_subscribe",
             ratio(static_cast<double>(sub_msgs), kWarmSubscriptions * setup_secs.size()), "msg/op");
     res.add("event_msgs_per_publish", static_cast<double>(timed.event_messages) / ops, "msg/op");
@@ -471,6 +518,9 @@ run_result run_tcp_cluster(const run_config& cfg) {
       static_cast<double>(wt.encode_ns + wt.decode_ns + timed.covering_check_ns);
   const double residual_ns = static_cast<double>(rtt_ns) - spans;
   res.add("transport.residual_us_per_op", residual_ns / 1e3 / ops, "us");
+  // The publishes that trigger a WAL checkpoint (about one in 45) set the
+  // p99, so it follows the host's disk and is no end-to-end metric.
+  res.add("transport.publish_us_p99", pub_h->quantile_ms(0.99) * 1e3, "us");
   res.add("transport.partial_writes_per_op", static_cast<double>(timed.partial_writes) / ops,
           "count/op");
   res.add("transport.reconnects", static_cast<double>(reconnects), "count");

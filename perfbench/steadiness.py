@@ -7,7 +7,7 @@ interquartile spread (q3 - q1) / median and the full range
 Run from the repository root:
 
     python3 perfbench/steadiness.py --workload event_routing [--runs 10] \
-        [--seconds 15] [--first-seed 1]
+        [--seconds 20] [--first-seed 1]
 
 Each run is `run.py --trace 0` (the end-to-end metrics, which have bounds);
 --seconds defaults to BENCHMARK.json's run_seconds.
