@@ -591,8 +591,8 @@ BENCHMARK(BM_CoveringInsertErase);
 // O(region) memmove / block rewrite per op); mode 1 = deferred tombstones
 // (0.5: erases mark, compaction amortizes). Detection state is identical in
 // both modes; only erase cost moves — the /1-vs-/0 items_per_second ratio
-// at 1M is the PR's >= 10x acceptance bar, which CI pins with
-// --require BM_Churn.
+// of BM_ChurnErase at 1M is the >= 10x churn floor scripts/bench_compare.py
+// gates.
 //
 // The index is the production tiered configuration (skiplist hot tier so
 // both modes share identical in-place hot costs and the ratio isolates the
@@ -742,21 +742,16 @@ BENCHMARK(BM_ChurnErase)
     ->UseRealTime();
 
 // ---- BM_ChurnQuery: covering checks interleaved with sustained churn —
-// the workload the adaptive head-probe estimate (head_probe == 0) actually
-// faces, which neither BM_Churn (publish_weight 0, no queries) nor
-// BM_CoveringCheckApprox (static index, no churn) reproduces.
+// the workload a production broker's index faces, which neither BM_Churn
+// (publish_weight 0, no queries) nor BM_CoveringCheckApprox (static index,
+// no churn) reproduces.
 //
-// ArgPair: (live subscriptions, head_probe). head_probe 1 = the pinned
-// PR-4 scan-only head; 0 = adaptive depth from the plan's running
-// hit-at-rank histograms. Detection results and logical stats are
-// identical for both (the head only moves the physical restart/resume
-// split); items/sec counts covering checks, and query_p50_ns / query_p99_ns
-// time find_covering alone, so the /0-vs-/1 comparison is the
-// adaptive-default verdict on a churning index. Index config matches
-// BM_Churn's production tombstone mode (skiplist hot tier, compressed cold
-// store, deferred compaction), so tombstone-laden frontiers — the state
-// PR-9 maintenance leaves behind between epochs — are what the queries
-// probe.
+// Arg: live subscriptions. items/sec counts covering checks, and
+// query_p50_ns / query_p99_ns time find_covering alone. Index config
+// matches BM_Churn's production tombstone mode (skiplist hot tier,
+// compressed cold store, deferred compaction), so tombstone-laden
+// frontiers — the state maintenance leaves behind between epochs — are
+// what the queries probe.
 void BM_ChurnQuery(benchmark::State& state) {
   const auto n_subs = static_cast<std::size_t>(state.range(0));
   const schema s = workload::make_uniform_schema(2, 10);
@@ -767,7 +762,6 @@ void BM_ChurnQuery(benchmark::State& state) {
   so.compact_live_fraction = 0.5;
   so.max_cubes = 4096;
   so.settle_on_budget = true;
-  so.head_probe = static_cast<int>(state.range(1));
   sfc_covering_index idx(s, so);
 
   workload::churn_gen_options co;
@@ -848,10 +842,8 @@ void BM_ChurnQuery(benchmark::State& state) {
   state.counters["resumed"] = per_query(resumed);
 }
 BENCHMARK(BM_ChurnQuery)
-    ->ArgPair(100'000, 1)
-    ->ArgPair(100'000, 0)
-    ->ArgPair(1'000'000, 1)
-    ->ArgPair(1'000'000, 0)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -926,9 +918,8 @@ BENCHMARK(BM_RecoveryReplay)->Arg(1024)->Arg(8192)->UseRealTime();
 //
 // Arg = backend: 0 = the scalar reference backend (simd::scalar::), 1 = the
 // runtime-dispatched entry points (simd:: — AVX2/SSE4.2 where the CPU has
-// them). The /1 vs /0 ratio of each pair is the vectorization headline the
-// PR-8 acceptance bar reads (>= 1.3x on the coalesce and volume kernels);
-// CI's bench gate pins the family's presence with --require BM_SimdKernels.
+// them). The /1 vs /0 ratio of each pair is the vectorization headline
+// (>= 1.3x on the coalesce and volume kernels).
 // Inputs model a query-plan level frontier: sorted cube-aligned lows with
 // clustered gaps (so coalescing both chains and breaks), 4 Ki lanes — the
 // scale of a large level at the paper's universes.

@@ -4,17 +4,25 @@
 Usage:
     bench_compare.py BASELINE.json CURRENT.json [--threshold 0.10]
                      [--bytes-threshold 0.10] [--compression-floor 3.0]
-                     [--counters-only] [--require PREFIX ...]
+                     [--counters-only]
 
 For every benchmark present in both files, the per-op real_time of CURRENT
 is compared against BASELINE; the script exits non-zero if any benchmark is
 more than THRESHOLD slower (default +10%). Throughput benchmarks — those
 reporting items_per_second, e.g. the BM_NetworkThroughput family, whose
 per-iteration real_time tracks a whole workload rather than one op — are
-gated on items/sec instead: a drop of more than THRESHOLD fails. Benchmarks
-present in only one file are reported but never fail the run, so adding or
-retiring benchmarks does not break CI. Improvements are reported for the
-perf trajectory.
+gated on items/sec instead: a drop of more than THRESHOLD fails. Improvements
+are reported for the perf trajectory.
+
+Same families: the two files must hold the same benchmark families (the
+name up to its first '/', e.g. BM_ChurnQuery), or the run fails — a
+truncated baseline, or a family that silently stopped being built (a glob
+miss, an #ifdef, a renamed registration), would otherwise shrink the gate
+to whatever the two files happen to share. Individual argument sets within
+a family may come and go; they are reported as new/retired. Adding or
+retiring a whole family therefore means re-archiving the baseline in the
+same change. Under --counters-only the rule applies to the families that
+report a bytes_per_sub counter, since that run is filtered to them.
 
 Bytes gating: benchmarks reporting a `bytes_per_sub` counter (the
 BM_MemoryFootprint family) are additionally gated on that counter — growth
@@ -23,13 +31,6 @@ beyond BYTES_THRESHOLD vs the baseline fails. Bytes are deterministic
 unoptimized builds: `--counters-only` skips every timing gate and checks
 only the bytes counters, which is what the CI memory-footprint smoke job
 runs against a Debug binary.
-
-Required families: `--require PREFIX` (repeatable) fails the run unless
-CURRENT contains at least one benchmark whose name starts with PREFIX.
-"Missing benchmarks never fail" is the right default for retiring families,
-but it also means a family that silently stops being built (a glob miss, an
-#ifdef, a renamed registration) would drop out of the gate unnoticed —
---require pins the families CI depends on, e.g. --require BM_RecoveryReplay.
 
 Compression floor: within CURRENT alone, each BM_MemoryFootprint width pair
 (`.../<bits>/0` = materialized resident array, `.../<bits>/1` = compressed
@@ -44,7 +45,8 @@ so skipped under --counters-only; set --churn-floor 0 to disable.
 
 This is the regression gate of the repo's perf tracking: CI runs
 micro_benchmark, then compares the fresh output against the committed
-BENCH_micro.json (the per-PR archived run; see ROADMAP.md).
+BENCH_micro.json (the archived full run; earlier archives are read from git
+history, `git show REV:BENCH_micro.json`).
 """
 
 import argparse
@@ -70,6 +72,26 @@ def load(path):
             "bytes_per_sub": float(bps) if bps is not None else None,
         }
     return out
+
+
+def gate_families(base, cur, counters_only):
+    """The two files must hold the same families (under --counters-only:
+    the same families with bytes_per_sub counters). Returns the failure
+    list: (family, which file lacks it)."""
+
+    def families(runs):
+        return {
+            n.split("/", 1)[0]
+            for n, v in runs.items()
+            if not counters_only or v["bytes_per_sub"] is not None
+        }
+
+    fb, fc = families(base), families(cur)
+    failures = [(f, "current") for f in sorted(fb - fc)]
+    failures += [(f, "baseline") for f in sorted(fc - fb)]
+    if not fb and not fc:
+        failures.append(("(none)", "both"))
+    return failures
 
 
 def slowdown_ratio(base, cur):
@@ -227,22 +249,12 @@ def main():
         help="skip all timing gates; check only bytes counters and the "
         "compression floor (for unoptimized smoke builds)",
     )
-    parser.add_argument(
-        "--require",
-        action="append",
-        default=[],
-        metavar="PREFIX",
-        help="fail unless CURRENT contains a benchmark starting with PREFIX "
-        "(repeatable; pins families the gate depends on)",
-    )
     args = parser.parse_args()
 
     base = load(args.baseline)
     cur = load(args.current)
 
-    missing_required = [
-        prefix for prefix in args.require if not any(n.startswith(prefix) for n in cur)
-    ]
+    family_failures = gate_families(base, cur, args.counters_only)
 
     time_regressions = [] if args.counters_only else gate_times(base, cur, args.threshold)
     bytes_regressions = gate_bytes(base, cur, args.bytes_threshold)
@@ -294,18 +306,18 @@ def main():
         )
         for stem, ratio in churn_failures:
             print(f"  {stem}: {ratio:.2f}x", file=sys.stderr)
-    if missing_required:
+    if family_failures:
         failed = True
         print(
-            f"\nFAIL: {len(missing_required)} required famil(ies) absent from "
-            f"{args.current}:",
+            f"\nFAIL: {args.baseline} and {args.current} hold different "
+            f"benchmark families:",
             file=sys.stderr,
         )
-        for prefix in missing_required:
-            print(f"  {prefix}", file=sys.stderr)
+        for fam, lacking in family_failures:
+            print(f"  {fam}: missing from {lacking}", file=sys.stderr)
     if failed:
         return 1
-    print(f"\nOK: no regression (times, bytes) and compression floor holds.")
+    print(f"\nOK: same families, no regression (times, bytes) and compression floor holds.")
     return 0
 
 

@@ -65,6 +65,10 @@ struct broker_daemon::op_state {
   conn* client = nullptr;        // client_done recipient; null = orphaned
   int pending_acks = 0;
   std::vector<sub_id> delivered;  // local + aggregated subtree deliveries
+  // Part of an unsubscribe arriving from a peer: the withdrawal (seq 0) or
+  // a re-forward (seq >= 1). The parent may send further re-forwards of the
+  // op after this state completed, so the op's send seqs must outlive it.
+  bool more_may_follow = false;
 };
 
 // --- construction / recovery -------------------------------------------------
@@ -332,7 +336,7 @@ void broker_daemon::close_conn(conn& c, const char* /*why*/) {
     }
   }
   // Orphan any operation still owing this client its client_done.
-  for (auto& [op, st] : active_)
+  for (auto& [key, st] : active_)
     if (st->client == &c) st->client = nullptr;
 }
 
@@ -482,7 +486,7 @@ void broker_daemon::handle_client_msg(conn& c, const wire_msg& m) {
       if (st->pending_acks == 0)
         complete_op(op, *st);
       else
-        active_[op] = std::move(st);
+        active_[{op, 0}] = std::move(st);
       return;
     }
     case msg_type::client_dump: {
@@ -523,11 +527,12 @@ void broker_daemon::handle_data(int from, const wire_msg& m) {
     auto st = std::make_unique<op_state>();
     st->parent_link = from;
     st->parent_seq = m.seq;
+    st->more_may_follow = m.type == msg_type::unsubscribe || m.seq > 0;
     process_fresh(from, m, *st);
     if (st->pending_acks == 0)
       complete_op(m.op, *st);
     else
-      active_[m.op] = std::move(st);
+      active_[{m.op, m.seq}] = std::move(st);
     return;
   }
   if (m.seq > next) {
@@ -539,13 +544,15 @@ void broker_daemon::handle_data(int from, const wire_msg& m) {
 
   // Duplicate: only reconnect replay produces these.
   ++metrics_.duplicates_suppressed;
-  if (active_.count(m.op) != 0) return;  // in flight: our eventual ack covers it
+  // In flight: our eventual ack covers it.
+  if (active_.count({m.op, m.seq}) != 0) return;
 
   // The subtree's ack state died with a crash (ours or an ancestor's).
   // Rebuild it by deterministic re-emission — see transport.h.
   auto st = std::make_unique<op_state>();
   st->parent_link = from;
   st->parent_seq = m.seq;
+  st->more_may_follow = m.type == msg_type::unsubscribe || m.seq > 0;
   if (const auto it = records_.find(m.op); it != records_.end()) {
     if (it->second.k == wal_record::kind::event_receipt)
       replay_publish(from, m, *st);
@@ -561,7 +568,7 @@ void broker_daemon::handle_data(int from, const wire_msg& m) {
   if (st->pending_acks == 0)
     complete_op(m.op, *st);
   else
-    active_[m.op] = std::move(st);
+    active_[{m.op, m.seq}] = std::move(st);
 }
 
 void broker_daemon::process_fresh(int from, const wire_msg& m, op_state& st) {
@@ -701,7 +708,7 @@ void broker_daemon::emit_data(std::uint64_t op, int link, wire_msg m, op_state& 
   m.seq = send_seq_[op][link]++;
   ++st.pending_acks;
   auto& slot = peers_[link];
-  slot.unacked.push_back({op, m.seq, m});
+  slot.unacked.push_back({op, m.seq, st.parent_seq, m});
   if (slot.c != nullptr) queue_bytes(*slot.c, frame_msg(m));
   // else: the peer is down; the ledger entry goes out on reconnect.
 }
@@ -713,8 +720,8 @@ void broker_daemon::handle_ack(int from, const wire_msg& m) {
                                  return e.op == m.op && e.seq == m.seq;
                                });
   if (it == slot.unacked.end()) return;  // stale re-ack of an already-acked send
+  const auto ait = active_.find({m.op, it->owner_seq});
   slot.unacked.erase(it);
-  const auto ait = active_.find(m.op);
   if (ait == active_.end()) return;
   op_state& st = *ait->second;
   st.delivered.insert(st.delivered.end(), m.delivered.begin(), m.delivered.end());
@@ -749,8 +756,13 @@ void broker_daemon::complete_op(std::uint64_t op, op_state& st) {
     // else: the ack is lost with the dead connection; the parent replays
     // on reconnect and the duplicate path re-acks.
   }
-  active_.erase(op);
-  send_seq_.erase(op);
+  // Per-link send seqs stay live while the op may still emit here: a
+  // sibling state (another parent seq) is in flight, or more of an
+  // unsubscribe's messages may follow. Downstream dedup keys (applied_)
+  // live as long, so a restarted count would read as duplicates.
+  const auto sibling = active_.lower_bound({op, 0});
+  if (!st.more_may_follow && (sibling == active_.end() || sibling->first.first != op))
+    send_seq_.erase(op);
   maybe_checkpoint();
 }
 
@@ -809,7 +821,7 @@ void broker_daemon::resume_client_ops() {
     st->parent_link = kLocalLink;
     st->client = nullptr;  // its client died with the previous incarnation
     replay_record(r, *st);
-    if (st->pending_acks > 0) active_[op] = std::move(st);
+    if (st->pending_acks > 0) active_[{op, 0}] = std::move(st);
     // pending == 0 (leaf broker): nothing to do — state is durable and
     // there is no client to notify.
   }

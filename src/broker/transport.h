@@ -27,7 +27,9 @@
 //     Duplicates therefore arise only from reconnect replay, and the
 //     receiver suppresses them by (op, from, seq).
 //   * Acks cascade: a broker acks its parent for (op, seq) only after its
-//     OWN forwards for the op are all acked, and the ack aggregates every
+//     OWN forwards for that message are all acked (an unsubscribe can bring
+//     one op as several seqs — the withdrawal, then re-forwards — and each
+//     is acked on its own), and the ack aggregates every
 //     subscription id delivered in that subtree. The origin's client_done
 //     thus carries the cluster-wide delivered set — byte-identical to the
 //     in-process deterministic engine's publish() return — and cluster
@@ -87,6 +89,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broker/broker.h"
@@ -154,6 +157,7 @@ class broker_daemon {
   struct ledger_entry {
     std::uint64_t op = 0;
     std::uint64_t seq = 0;
+    std::uint64_t owner_seq = 0;  // parent seq of the op_state that sent it
     wire_msg msg;
   };
   struct peer_slot {
@@ -219,7 +223,10 @@ class broker_daemon {
   std::map<std::uint64_t, std::map<int, std::uint64_t>> applied_;
   // Post-snapshot records by op, for duplicate-replay; cleared at checkpoint.
   std::map<std::uint64_t, wal_record> records_;
-  std::map<std::uint64_t, std::unique_ptr<op_state>> active_;
+  // In-flight ops by (op, parent seq): one op can reach a broker as several
+  // data messages on its parent link — an unsubscribe's withdrawal and its
+  // re-forwards — and each is acked on its own.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::unique_ptr<op_state>> active_;
   // Per-op per-link send sequence counters (deterministically regenerated
   // after a crash — see header comment).
   std::map<std::uint64_t, std::map<int, std::uint64_t>> send_seq_;

@@ -30,133 +30,6 @@ std::unique_ptr<basic_sfc_array<K>> make_engine_array(const dominance_options& o
   return std::make_unique<basic_tiered_sfc_array<K>>(t);
 }
 
-// Read-only u512 adapter over a narrow array: keys are widened on the way
-// out and truncated (with clamping for over-wide probe ranges) on the way
-// in, so external callers of dominance_index::array() see the reference
-// width whatever the engine runs on. Mutations forward too, keeping the
-// view coherent — though the owning index only hands out const references.
-template <class K>
-class widening_array_view final : public sfc_array {
- public:
-  explicit widening_array_view(basic_sfc_array<K>& inner) : inner_(&inner) {}
-
-  void insert(const u512& key, std::uint64_t id) override {
-    inner_->insert(narrow_key(key), id);
-  }
-  bool erase(const u512& key, std::uint64_t id) override {
-    return inner_->erase(narrow_key(key), id);
-  }
-  std::size_t erase_batch(const std::vector<entry>& entries) override {
-    std::vector<typename basic_sfc_array<K>::entry> narrow;
-    narrow.reserve(entries.size());
-    for (const entry& e : entries) narrow.push_back({narrow_key(e.key), e.id});
-    return inner_->erase_batch(narrow);
-  }
-  void maintain() override { inner_->maintain(); }
-  [[nodiscard]] maintenance_counters maintenance() const override {
-    return inner_->maintenance();
-  }
-  void set_compaction_policy(double min_live_fraction) override {
-    inner_->set_compaction_policy(min_live_fraction);
-  }
-  void reserve(std::size_t n) override { inner_->reserve(n); }
-  void bulk_load(std::vector<entry> entries) override {
-    std::vector<typename basic_sfc_array<K>::entry> narrow;
-    narrow.reserve(entries.size());
-    for (const entry& e : entries) narrow.push_back({narrow_key(e.key), e.id});
-    inner_->bulk_load(std::move(narrow));
-  }
-  [[nodiscard]] std::optional<entry> first_in(const key_range& r) const override {
-    return first_in(r, nullptr);
-  }
-  [[nodiscard]] std::optional<entry> first_in(const key_range& r,
-                                              probe_hint* hint) const override {
-    basic_key_range<K> nr;
-    if (!narrow_range(r, &nr)) return std::nullopt;
-    typename basic_sfc_array<K>::probe_hint nh;
-    if (hint != nullptr) nh.pos = hint->pos;
-    const auto hit = inner_->first_in(nr, hint != nullptr ? &nh : nullptr);
-    if (hint != nullptr) hint->pos = nh.pos;
-    if (!hit.has_value()) return std::nullopt;
-    return entry{key_traits<K>::widen(hit->key), hit->id};
-  }
-  void probe_frontier(std::span<const key_range> frontier,
-                      frontier_sink& sink) const override {
-    // Narrow the frontier and forward to the inner batched sweep, widening
-    // each answer on the way out. Frontier lows are non-decreasing, so the
-    // ranges that fall entirely above the narrow key domain form a suffix:
-    // the prefix maps 1:1 onto an inner sweep (clamping hi preserves the
-    // answers, exactly as first_in does), the suffix is reported as misses
-    // in order. Unlike the backends this adapter allocates (the narrowed
-    // prefix); it is a convenience view, not the query hot path — the plan
-    // binds to the inner array directly.
-    std::vector<basic_key_range<K>> narrowed;
-    narrowed.reserve(frontier.size());
-    for (const key_range& r : frontier) {
-      basic_key_range<K> nr;
-      if (!narrow_range(r, &nr)) break;
-      narrowed.push_back(nr);
-    }
-    struct widening_sink final : basic_sfc_array<K>::frontier_sink {
-      sfc_array::frontier_sink* out;
-      bool stopped = false;
-      bool on_probe(std::size_t index,
-                    const typename basic_sfc_array<K>::entry* hit) override {
-        bool keep_going;
-        if (hit != nullptr) {
-          const sfc_array::entry widened{key_traits<K>::widen(hit->key), hit->id};
-          keep_going = out->on_probe(index, &widened);
-        } else {
-          keep_going = out->on_probe(index, nullptr);
-        }
-        if (!keep_going) stopped = true;
-        return keep_going;
-      }
-    };
-    widening_sink ws;
-    ws.out = &sink;
-    inner_->probe_frontier(std::span<const basic_key_range<K>>(narrowed), ws);
-    if (ws.stopped) return;
-    for (std::size_t i = narrowed.size(); i < frontier.size(); ++i) {
-      if (!sink.on_probe(i, nullptr)) return;
-    }
-  }
-  [[nodiscard]] std::uint64_t count_in(const key_range& r) const override {
-    basic_key_range<K> nr;
-    if (!narrow_range(r, &nr)) return 0;
-    return inner_->count_in(nr);
-  }
-  [[nodiscard]] std::size_t size() const override { return inner_->size(); }
-  void for_each(const std::function<void(const entry&)>& fn) const override {
-    inner_->for_each([&](const typename basic_sfc_array<K>::entry& e) {
-      fn(entry{key_traits<K>::widen(e.key), e.id});
-    });
-  }
-  [[nodiscard]] std::size_t memory_footprint() const override {
-    // The view owns nothing; report the viewed array so callers holding the
-    // facade see the real storage cost.
-    return inner_->memory_footprint();
-  }
-
- private:
-  static K narrow_key(const u512& key) {
-    const K k = key_traits<K>::truncate(key);
-    if (key_traits<K>::widen(k) != key)
-      throw std::invalid_argument("sfc_array: key wider than the index's key type");
-    return k;
-  }
-  // Clamps [r.lo, r.hi] to the narrow key domain; false if empty there.
-  static bool narrow_range(const key_range& r, basic_key_range<K>* out) {
-    const u512 nmax = key_traits<K>::widen(key_traits<K>::max());
-    if (r.lo > nmax) return false;
-    out->lo = key_traits<K>::truncate(r.lo);
-    out->hi = r.hi > nmax ? key_traits<K>::max() : key_traits<K>::truncate(r.hi);
-    return true;
-  }
-
-  basic_sfc_array<K>* inner_;
-};
-
 }  // namespace
 
 dominance_index::dominance_index(const universe& u, dominance_options options)
@@ -164,9 +37,6 @@ dominance_index::dominance_index(const universe& u, dominance_options options)
       options_(options),
       width_(options.width == key_width::automatic ? select_key_width(u.key_bits())
                                                    : options.width) {
-  if (options_.head_probe < 0)
-    throw std::invalid_argument(
-        "dominance_index: head_probe must be >= 0 (0 = adaptive)");
   switch (width_) {
     case key_width::w64:
       engine_.emplace<engine<std::uint64_t>>(
@@ -184,31 +54,10 @@ dominance_index::dominance_index(const universe& u, dominance_options options)
                                                  make_engine_array<u512>(options_)});
       break;
   }
-  // Narrow engines get u512 facades so sfc()/array() keep their reference-
-  // width signatures.
-  std::visit(
-      [&](auto& e) {
-        using K = typename std::decay_t<decltype(*e.curve)>::key_type;
-        if constexpr (!std::is_same_v<K, u512>) {
-          facade_curve_ = make_curve(options_.curve, universe_);
-          facade_array_ = std::make_unique<widening_array_view<K>>(*e.array);
-        }
-      },
-      engine_);
   plan_ = std::make_unique<query_plan>(*this);
 }
 
 dominance_index::~dominance_index() = default;
-
-const curve& dominance_index::sfc() const {
-  if (facade_curve_ != nullptr) return *facade_curve_;
-  return *std::get<engine<u512>>(engine_).curve;
-}
-
-const sfc_array& dominance_index::array() const {
-  if (facade_array_ != nullptr) return *facade_array_;
-  return *std::get<engine<u512>>(engine_).array;
-}
 
 std::size_t dominance_index::size() const {
   return std::visit([](const auto& e) { return e.array->size(); }, engine_);

@@ -25,8 +25,7 @@
 // and shifts run on one or two machine words instead of eight. The choice
 // is observable via width() and overridable with dominance_options::width
 // (used by equivalence tests and benches); every width computes identical
-// results. sfc() and array() expose reference-width (u512) views whatever
-// the internal width, so existing callers keep working.
+// results.
 //
 // Query execution is split into a reusable query_plan (query_plan.h): the
 // plan owns all scratch the search needs, so a warm plan performs zero heap
@@ -50,7 +49,6 @@
 #include "sfc/curve.h"
 #include "sfcarray/sfc_array.h"
 #include "util/key_traits.h"
-#include "util/simd.h"
 
 namespace subcover {
 
@@ -62,43 +60,14 @@ struct dominance_options {
   // valid (tests force u512 to cross-check the narrow paths), forcing a
   // narrower one than the universe needs throws at construction.
   key_width width = key_width::automatic;
-  // Coalesce adjacent cube ranges into runs before probing (Lemma 3.1 makes
-  // runs <= cubes; disabling probes raw cubes, matching the paper's
-  // cube-count analysis exactly).
-  bool merge_runs = true;
   // Probe each level's run frontier with one batched probe_frontier sweep
   // over the SFC array (resumed searches, sfcarray/sfc_array.h) instead of
   // one independent first_in per run. Results and every pre-existing
   // query_stats field are byte-identical either way; only the physical
   // probe-work counters (frontier_batches / probes_restarted /
-  // probes_resumed) differ. Effective only with merge_runs (the sweep needs
-  // the key-sorted merged frontier); disable to force the single-range
-  // reference path, the equivalence oracle in tests.
+  // probes_resumed) differ. Disable to force the single-range reference
+  // path, the equivalence oracle in tests.
   bool batched_probe = true;
-  // How many of a level's top-volume runs are probed individually (one
-  // fresh first_in descent each) before the batched frontier sweep engages
-  // for the remainder. 1 (the pinned default) reproduces the PR-4 behavior
-  // exactly: probe rank 0 alone — found by one O(m) scan, no sort — and
-  // only a miss engages the ordering + sweep machinery. 0 selects the depth
-  // adaptively per plan: the plan keeps a running histogram of the rank at
-  // which past queries hit and probes the smallest prefix that captured
-  // >= 90% of them (clamped to 8). Values > 1 force a fixed deeper head.
-  // Results and all logical query_stats are identical for every setting
-  // (the probe order never changes); only the physical restart/resume split
-  // varies. Applies to both batched paths (merged runs, and the cube-count
-  // path when merge_runs is false); ignored on the single-range reference
-  // path. Negative values throw std::invalid_argument at construction.
-  int head_probe = 1;
-  // How the query plan runs its level-frontier kernels (util/simd.h):
-  // `automatic` (the default) uses the runtime-dispatched scalar/SSE4.2/AVX2
-  // ladder of util/simd_kernels.h, `force_scalar` pins those call sites to
-  // the kernel library's scalar backend, `off` bypasses the kernel library
-  // and runs the plan's plain-loop reference implementations. Results, stop
-  // decisions and every logical query_stats field are identical for all
-  // three settings at every key width; only speed moves. The shared arrays
-  // follow the process-wide dispatch (SUBCOVER_FORCE_SCALAR), not this
-  // per-index policy.
-  simd_mode simd = simd_mode::automatic;
   // Safety valve: queries whose decomposition exceeds this many cubes either
   // throw std::length_error (settle_on_budget == false) or stop enumerating
   // and probe the partial plan collected so far (settle_on_budget == true).
@@ -189,13 +158,6 @@ class dominance_index {
   [[nodiscard]] const universe& space() const { return universe_; }
   // The key width the pipeline was instantiated at.
   [[nodiscard]] key_width width() const { return width_; }
-  // Reference-width (u512) view of the curve. When the internal width is
-  // narrower this is a shadow instance of the same curve kind; its keys
-  // equal the internal ones after widening.
-  [[nodiscard]] const curve& sfc() const;
-  // Reference-width (u512) view of the SFC array (read-only probes widen /
-  // truncate at the boundary when the internal width is narrower).
-  [[nodiscard]] const sfc_array& array() const;
   [[nodiscard]] const dominance_options& options() const { return options_; }
 
   // The truncation parameter the query will use for this epsilon:
@@ -219,9 +181,6 @@ class dominance_index {
   dominance_options options_;
   key_width width_;
   std::variant<engine<std::uint64_t>, engine<u128>, engine<u512>> engine_;
-  // u512 facade behind sfc()/array() when the engine is narrow.
-  std::unique_ptr<curve> facade_curve_;
-  std::unique_ptr<sfc_array> facade_array_;
   // Scratch plan behind query(); mutable because query() is logically const.
   // This is what makes query() non-reentrant (see header comment).
   mutable std::unique_ptr<query_plan> plan_;

@@ -27,14 +27,13 @@
 // columns — cube coalescing, extent subtraction, the head-probe argbest
 // scan, the sweep's suffix-min-rank table — runs through the
 // runtime-dispatched vector kernels of util/simd_kernels.h (scalar /
-// SSE4.2 / AVX2, picked once per process via util/cpu_features.h).
-// dominance_options::simd selects the policy per index: `automatic` uses
-// the dispatched kernels, `force_scalar` pins the same call sites to the
-// kernel library's scalar backend, and `off` runs the plan's own
-// plain-loop implementations — the oracle the other two are pinned
+// SSE4.2 / AVX2, picked once per process via util/cpu_features.h;
+// SUBCOVER_FORCE_SCALAR pins the scalar backend). The u128/u512 widths run
+// the plan's own plain loops, which mirror the kernels exactly, so a
+// w512-forced index is the reference the u64 kernel path is pinned
 // byte-identical against (tests/dominance/simd_equivalence_test.cc).
-// Results, stop decisions and all logical query_stats are identical for
-// every setting at every key width; only speed moves.
+// Results, stop decisions and all query_stats are identical at every key
+// width; only speed moves.
 //
 // Batched frontier probing (the default, dominance_options::batched_probe):
 // instead of one independent first_in per run — each a fresh O(log n)
@@ -51,13 +50,6 @@
 // probes first, which on hit-dense workloads usually decides the level —
 // is found with one O(m) scan and probed alone before any ordering work;
 // only a miss engages the sort + sweep machinery for the remaining ranks.
-// dominance_options::head_probe generalizes that head: a fixed depth h
-// probes the top-h volume ranks individually (fresh descents, in rank
-// order) before the sweep answers the rest, and h == 0 picks the depth
-// adaptively (see below). The pinned default h = 1 keeps the scan-only
-// fast path; results and every logical query_stats field are identical at
-// every depth (the probe order never changes — only the restart/resume
-// split of the physical counters moves).
 // Two prunings keep the sweep from touching runs the replay can never
 // reach: (a) with epsilon > 0 the coverage stop point depends only on run
 // volumes, so the sweep is cut to the exact volume-order prefix the replay
@@ -67,13 +59,6 @@
 // per probe. The physical probe work is reported in the frontier_batches /
 // probes_restarted / probes_resumed stats; runs_probed stays the paper's
 // logical cost measure.
-//
-// Cube-count mode (merge_runs == false) batches too: the frontier is the
-// raw cube list in enumeration order — the probe order of the reference
-// path — so the plan probes the head cubes individually, sorts the
-// remaining cube lows into key order for one probe_frontier sweep, and
-// replays the answers in enumeration order. Same logical stats as the
-// per-cube reference path; only the physical restart/resume split moves.
 //
 // Key width: the plan binds to the index's internal width at construction
 // (util/key_traits.h) and keeps its level enumeration, run frontier, probe
@@ -101,7 +86,6 @@
 // query_plan over the shared index.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <variant>
@@ -171,39 +155,11 @@ class query_plan {
   std::optional<std::uint64_t> run_impl(typed_state<K>& ts, const point& x, double epsilon,
                                         query_stats* stats);
 
-  // --- adaptive head-probe estimate (dominance_options::head_probe == 0) --
-  // Hit-rank behavior differs sharply by frontier shape: top levels of a
-  // big region hit at rank 0 almost always, deep levels and loose epsilons
-  // spread hits across ranks. So the estimate keys its histograms by
-  // (level, epsilon bucket) — epsilon quantized by magnitude into
-  // kAdaptiveEpsBuckets power-of-two bands (bucket 0 = exhaustive) — and
-  // decays each histogram by halving once kAdaptiveDecayCap observations
-  // accumulate, so the depth tracks the current workload instead of the
-  // whole history. The adaptive depth is the smallest rank prefix that
-  // captured >= 90% of that cell's past hits (ranks >= kAdaptiveMaxHead - 1
-  // pool in the last bucket); until a cell has seen kAdaptiveMinSamples
-  // hits it stays at the pinned default of 1. Depth choices never affect
-  // results — only the restart/resume split of the physical counters.
-  // Plain plan state, not synchronized: a plan is single-threaded scratch
-  // by contract.
-  static constexpr std::size_t kAdaptiveMaxHead = 8;
-  static constexpr std::uint64_t kAdaptiveMinSamples = 32;
-  static constexpr std::uint64_t kAdaptiveDecayCap = 256;
-  static constexpr std::size_t kAdaptiveEpsBuckets = 8;
-  struct adaptive_hist {
-    std::array<std::uint64_t, kAdaptiveMaxHead> counts{};
-    std::uint64_t total = 0;
-  };
-  [[nodiscard]] static std::size_t eps_bucket(double epsilon);
-  void note_hit_rank(int level, std::size_t eps_b, std::size_t rank);
-  [[nodiscard]] std::size_t adaptive_head_depth(int level, std::size_t eps_b) const;
-
   const dominance_index* index_;
   std::vector<u512> level_counts_;  // Lemma 3.5 counts, reused per query
   // Batched-probe scratch (key-type independent, reused across queries):
   // replay_order_ maps volume-descending rank -> position in the run
-  // columns (in cube-count mode it doubles as the sweep's sorted position
-  // list); pos_rank_ is its inverse; probe_rank_ holds the rank of each
+  // columns; pos_rank_ is its inverse; probe_rank_ holds the rank of each
   // sweep-list element; suffix_min_rank_[i] = min rank among sweep elements
   // i..end (the sweep's early-stop oracle); hit_found_/hit_id_ record each
   // rank's probe answer for the replay.
@@ -213,7 +169,6 @@ class query_plan {
   std::vector<std::uint32_t> suffix_min_rank_;
   std::vector<std::uint8_t> hit_found_;
   std::vector<std::uint64_t> hit_id_;
-  std::vector<adaptive_hist> adaptive_;  // (bits + 1) x kAdaptiveEpsBuckets
   std::variant<typed_state<std::uint64_t>, typed_state<u128>, typed_state<u512>> state_;
 };
 

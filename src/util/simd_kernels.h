@@ -22,7 +22,7 @@
 // same answer, same index, same tie-break as its scalar reference on every
 // input (including empty, single-lane, odd-length tails and duplicate
 // lanes). That is what lets query_plan keep its byte-identity guarantees
-// while swapping implementations per dominance_options::simd.
+// whichever backend the process dispatches to.
 #pragma once
 
 #include <cstddef>

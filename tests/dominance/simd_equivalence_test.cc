@@ -1,35 +1,26 @@
-// SIMD-mode equivalence: the vectorized query pipeline must be
-// byte-identical to its scalar references.
+// Kernel equivalence: the vectorized query pipeline must be byte-identical
+// to its plain-loop reference.
 //
-// Three layers of pinning, per ISSUE 8's acceptance bar:
-//   * dominance_options::simd — `automatic` (runtime-dispatched kernels)
-//     and `force_scalar` (the kernel library's scalar backend through the
-//     same call sites) against `off` (the plan's plain-loop oracles), for
-//     every curve and every key width. Results and every logical
-//     query_stats field must match exactly; only the physical probe-work
-//     split (frontier_batches / probes_restarted / probes_resumed /
-//     tier_*) may differ between *configurations*, never between simd
-//     modes of the same configuration — the simd policy only changes how
-//     the same numbers are computed.
-//   * The cube-count batched path (merge_runs = false, batched_probe on)
-//     against its single-range reference (batched_probe off): same results
-//     and logical stats, strictly less probe-restart work once frontiers
-//     have more than one cube.
-//   * Adaptive head probing (head_probe = 0) on a long-lived plan against
-//     fixed depths: the histogram may move the restart/resume split but
-//     never the answer.
+// On a u64-width universe query_plan runs its level-frontier work (cube
+// coalescing, extent subtraction, the head argbest scan) through the
+// runtime-dispatched kernels of util/simd_kernels.h; at u128 and u512 it
+// runs its own plain loops. So the same data indexed at w64 (dispatched
+// kernels), w128 (two-word plain loops) and w512 (the reference plain
+// loops) must return the same answer with every query_stats field equal —
+// physical probe-work and tier/maintenance counters included, since the
+// key width changes how the numbers are computed, never what the plan or
+// the arrays do. Only elapsed_ns may differ.
 //
 // The process-wide SUBCOVER_FORCE_SCALAR override is exercised by running
-// the whole suite under it (CI's forced-scalar job); these tests pin the
-// per-index policy.
+// the whole suite under it (CI's forced-scalar job), which pins the
+// kernels' scalar backend against the same w512 reference.
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dominance/dominance_index.h"
-#include "dominance/query_plan.h"
 #include "util/random.h"
 
 namespace subcover {
@@ -42,8 +33,7 @@ point random_point(rng& gen, const universe& u) {
   return p;
 }
 
-// Every deterministic field, physical counters included: two runs that
-// differ only in simd mode must agree on all of them.
+// Every deterministic field (everything except elapsed_ns).
 void expect_identical_stats(const query_stats& a, const query_stats& b, const std::string& what) {
   EXPECT_EQ(a.cubes_enumerated, b.cubes_enumerated) << what;
   EXPECT_EQ(a.runs_in_plan, b.runs_in_plan) << what;
@@ -55,6 +45,9 @@ void expect_identical_stats(const query_stats& a, const query_stats& b, const st
   EXPECT_EQ(a.tier_summary_answers, b.tier_summary_answers) << what;
   EXPECT_EQ(a.tier_blocks_decoded, b.tier_blocks_decoded) << what;
   EXPECT_EQ(a.tier_cold_hits, b.tier_cold_hits) << what;
+  EXPECT_EQ(a.maint_tombstones_added, b.maint_tombstones_added) << what;
+  EXPECT_EQ(a.maint_tombstones_purged, b.maint_tombstones_purged) << what;
+  EXPECT_EQ(a.maint_compactions, b.maint_compactions) << what;
   EXPECT_EQ(a.truncation_m, b.truncation_m) << what;
   EXPECT_EQ(a.volume_fraction_planned, b.volume_fraction_planned) << what;
   EXPECT_EQ(a.volume_fraction_searched, b.volume_fraction_searched) << what;
@@ -62,24 +55,21 @@ void expect_identical_stats(const query_stats& a, const query_stats& b, const st
   EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << what;
 }
 
-// Logical fields only — what must survive a change of probe *strategy*
-// (batched vs reference, head depth), where the physical split moves.
-void expect_same_logical_stats(const query_stats& a, const query_stats& b,
-                               const std::string& what) {
-  EXPECT_EQ(a.cubes_enumerated, b.cubes_enumerated) << what;
-  EXPECT_EQ(a.runs_in_plan, b.runs_in_plan) << what;
-  EXPECT_EQ(a.runs_probed, b.runs_probed) << what;
-  EXPECT_EQ(a.truncation_m, b.truncation_m) << what;
-  EXPECT_EQ(a.volume_fraction_planned, b.volume_fraction_planned) << what;
-  EXPECT_EQ(a.volume_fraction_searched, b.volume_fraction_searched) << what;
-  EXPECT_EQ(a.found, b.found) << what;
-  EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << what;
+std::string width_name(key_width w) {
+  switch (w) {
+    case key_width::w64:
+      return "w64";
+    case key_width::w128:
+      return "w128";
+    default:
+      return "w512";
+  }
 }
 
-TEST(SimdEquivalence, ModesAreByteIdenticalAcrossCurvesWidthsAndConfigs) {
+TEST(SimdEquivalence, KernelWidthsMatchPlainLoopWidthAcrossCurves) {
   // 24 key bits: representable at all three widths, so the same universe
-  // cross-checks the u64 kernel paths against the u128/u512 scalar-compare
-  // paths on identical data.
+  // cross-checks the u64 kernel path and the u128 plain loops against the
+  // u512 plain-loop reference on identical data.
   const universe u(3, 8);
   rng gen(2024);
   std::vector<point> stored;
@@ -88,39 +78,31 @@ TEST(SimdEquivalence, ModesAreByteIdenticalAcrossCurvesWidthsAndConfigs) {
   for (int q = 0; q < 24; ++q) queries.push_back(random_point(gen, u));
 
   for (const auto curve : {curve_kind::z_order, curve_kind::hilbert, curve_kind::gray_code}) {
-    for (const key_width w : {key_width::w64, key_width::w128, key_width::w512}) {
-      for (const bool merge : {true, false}) {
-        dominance_options base;
-        base.curve = curve;
-        base.width = w;
-        base.merge_runs = merge;
-        base.array = sfc_array_kind::sorted_vector;
-
-        auto make_index = [&](simd_mode m) {
-          dominance_options o = base;
-          o.simd = m;
-          auto idx = std::make_unique<dominance_index>(u, o);
-          for (std::size_t i = 0; i < stored.size(); ++i) idx->insert(stored[i], i);
-          return idx;
-        };
-        const auto oracle = make_index(simd_mode::off);
-        const auto dispatched = make_index(simd_mode::automatic);
-        const auto scalar = make_index(simd_mode::force_scalar);
-
+    for (const bool batched : {true, false}) {
+      auto make_index = [&](key_width w) {
+        dominance_options o;
+        o.curve = curve;
+        o.width = w;
+        o.batched_probe = batched;
+        o.array = sfc_array_kind::sorted_vector;
+        auto idx = std::make_unique<dominance_index>(u, o);
+        for (std::size_t i = 0; i < stored.size(); ++i) idx->insert(stored[i], i);
+        return idx;
+      };
+      const auto reference = make_index(key_width::w512);
+      for (const key_width w : {key_width::w64, key_width::w128}) {
+        const auto narrow = make_index(w);
+        ASSERT_EQ(narrow->width(), w);
         for (const double eps : {0.0, 0.05, 0.35}) {
           for (const auto& x : queries) {
-            const std::string what = std::string(curve_kind_name(curve)) +
-                                     " w=" + std::to_string(static_cast<int>(w)) +
-                                     " merge=" + std::to_string(merge) +
+            const std::string what = std::string(curve_kind_name(curve)) + " " + width_name(w) +
+                                     " batched=" + std::to_string(batched) +
                                      " eps=" + std::to_string(eps) + " x=" + x.to_string();
-            query_stats so, sd, ss;
-            const auto ro = oracle->query(x, eps, &so);
-            const auto rd = dispatched->query(x, eps, &sd);
-            const auto rs = scalar->query(x, eps, &ss);
-            EXPECT_EQ(ro, rd) << what;
-            EXPECT_EQ(ro, rs) << what;
-            expect_identical_stats(so, sd, what + " [auto]");
-            expect_identical_stats(so, ss, what + " [force_scalar]");
+            query_stats sr, sn;
+            const auto rr = reference->query(x, eps, &sr);
+            const auto rn = narrow->query(x, eps, &sn);
+            EXPECT_EQ(rr, rn) << what;
+            expect_identical_stats(sr, sn, what);
           }
         }
       }
@@ -128,118 +110,41 @@ TEST(SimdEquivalence, ModesAreByteIdenticalAcrossCurvesWidthsAndConfigs) {
   }
 }
 
-TEST(SimdEquivalence, CubeCountBatchedPathMatchesReferenceAndRestartsLess) {
-  const universe u(3, 8);
-  rng gen(99);
-  dominance_options ref;
-  ref.merge_runs = false;
-  ref.batched_probe = false;
-  ref.array = sfc_array_kind::sorted_vector;
-  dominance_options bat = ref;
-  bat.batched_probe = true;
-
-  dominance_index ri(u, ref);
-  dominance_index bi(u, bat);
-  for (int i = 0; i < 160; ++i) {
-    const point p = random_point(gen, u);
-    ri.insert(p, static_cast<std::uint64_t>(i));
-    bi.insert(p, static_cast<std::uint64_t>(i));
-  }
-
-  std::uint64_t ref_restarts = 0, bat_restarts = 0, bat_batches = 0;
-  for (const double eps : {0.0, 0.1}) {
-    for (int q = 0; q < 30; ++q) {
-      const point x = random_point(gen, u);
-      const std::string what = "eps=" + std::to_string(eps) + " x=" + x.to_string();
-      query_stats sr, sb;
-      const auto rr = ri.query(x, eps, &sr);
-      const auto rb = bi.query(x, eps, &sb);
-      EXPECT_EQ(rr, rb) << what;
-      expect_same_logical_stats(sr, sb, what);
-      // The reference path restarts a fresh descent for every probed cube.
-      EXPECT_EQ(sr.probes_restarted, sr.runs_probed) << what;
-      EXPECT_EQ(sr.frontier_batches, 0u) << what;
-      EXPECT_EQ(sr.probes_resumed, 0u) << what;
-      ref_restarts += sr.probes_restarted;
-      bat_restarts += sb.probes_restarted;
-      bat_batches += sb.frontier_batches;
-    }
-  }
-  // Across the workload the batched cube-count path must have engaged the
-  // frontier sweep and saved restarts.
-  EXPECT_GT(bat_batches, 0u);
-  EXPECT_LT(bat_restarts, ref_restarts);
-}
-
-TEST(SimdEquivalence, AdaptiveHeadDepthPreservesResultsOnAWarmPlan) {
-  const universe u(3, 8);
-  rng gen(7);
-  for (const bool merge : {true, false}) {
-    dominance_options fixed;
-    fixed.merge_runs = merge;
-    fixed.array = sfc_array_kind::sorted_vector;
-    dominance_options adaptive = fixed;
-    adaptive.head_probe = 0;
-
-    dominance_index fi(u, fixed);
-    dominance_index ai(u, adaptive);
-    for (int i = 0; i < 150; ++i) {
-      const point p = random_point(gen, u);
-      fi.insert(p, static_cast<std::uint64_t>(i));
-      ai.insert(p, static_cast<std::uint64_t>(i));
-    }
-
-    // A long-lived plan so the rank histograms accumulate and decay; every
-    // single query must still match the fixed-depth index exactly on the
-    // logical ledger.
-    query_plan warm(ai);
-    for (const double eps : {0.0, 0.02, 0.2}) {
-      for (int q = 0; q < 120; ++q) {
-        const point x = random_point(gen, u);
-        const std::string what = std::string("merge=") + std::to_string(merge) +
-                                 " eps=" + std::to_string(eps) + " x=" + x.to_string();
-        query_stats sf, sa;
-        const auto rf = fi.query(x, eps, &sf);
-        const auto ra = warm.run(x, eps, &sa);
-        EXPECT_EQ(rf, ra) << what;
-        expect_same_logical_stats(sf, sa, what);
-      }
-    }
-  }
-}
-
-TEST(SimdEquivalence, SimdModeComposesWithTieringAndSkiplist) {
+TEST(SimdEquivalence, KernelWidthsComposeWithTieringAndSkiplist) {
+  // 20 key bits: the tiered arrays' vectorized envelope scans run at every
+  // width too, so the same cold-tier traffic must produce the same tier_*
+  // and maint_* counters at w64/w128 as at the w512 reference.
   const universe u(4, 5);
-  rng gen(55);
   for (const auto array : {sfc_array_kind::skiplist, sfc_array_kind::sorted_vector}) {
-    dominance_options base;
-    base.array = array;
-    base.tier_hot_capacity = 32;  // force cold-tier traffic through the
-    base.tier_block_entries = 8;  // vectorized envelope scans
-    auto make_index = [&](simd_mode m) {
-      dominance_options o = base;
-      o.simd = m;
-      auto idx = std::make_unique<dominance_index>(u, o);
-      return idx;
+    auto make_index = [&](key_width w) {
+      dominance_options o;
+      o.array = array;
+      o.width = w;
+      o.tier_hot_capacity = 32;  // force cold-tier traffic through the
+      o.tier_block_entries = 8;  // vectorized envelope scans
+      return std::make_unique<dominance_index>(u, o);
     };
-    auto oracle = make_index(simd_mode::off);
-    auto dispatched = make_index(simd_mode::automatic);
-    std::vector<point> stored;
+    const auto reference = make_index(key_width::w512);
+    const auto w64 = make_index(key_width::w64);
+    const auto w128 = make_index(key_width::w128);
+    rng gen(55);
     for (int i = 0; i < 200; ++i) {
-      stored.push_back(random_point(gen, u));
-      oracle->insert(stored.back(), static_cast<std::uint64_t>(i));
-      dispatched->insert(stored.back(), static_cast<std::uint64_t>(i));
+      const point p = random_point(gen, u);
+      reference->insert(p, static_cast<std::uint64_t>(i));
+      w64->insert(p, static_cast<std::uint64_t>(i));
+      w128->insert(p, static_cast<std::uint64_t>(i));
     }
     for (const double eps : {0.0, 0.1}) {
       for (int q = 0; q < 25; ++q) {
         const point x = random_point(gen, u);
         const std::string what = "array=" + std::to_string(static_cast<int>(array)) +
                                  " eps=" + std::to_string(eps) + " x=" + x.to_string();
-        query_stats so, sd;
-        const auto ro = oracle->query(x, eps, &so);
-        const auto rd = dispatched->query(x, eps, &sd);
-        EXPECT_EQ(ro, rd) << what;
-        expect_identical_stats(so, sd, what);
+        query_stats sr, s64, s128;
+        const auto rr = reference->query(x, eps, &sr);
+        EXPECT_EQ(w64->query(x, eps, &s64), rr) << what;
+        EXPECT_EQ(w128->query(x, eps, &s128), rr) << what;
+        expect_identical_stats(sr, s64, what + " w64");
+        expect_identical_stats(sr, s128, what + " w128");
       }
     }
   }

@@ -57,7 +57,7 @@ int bind_loopback_listener(int* port_out) {
   return fd;
 }
 
-[[noreturn]] void broker_child(int id, const std::array<int, kBrokers>& fds,
+[[noreturn]] void broker_child(int id, const schema& s, const std::array<int, kBrokers>& fds,
                                const std::array<int, kBrokers>& ports,
                                const std::string& wal_root) {
   for (int b = 0; b < kBrokers; ++b)
@@ -75,7 +75,6 @@ int bind_loopback_listener(int* port_out) {
     o.reconnect_base_ms = 10;
     o.reconnect_cap_ms = 200;
     o.checkpoint_every = 16;
-    const schema s = workload::make_sensor_schema();
     broker_daemon d(
         s, [](const schema& sc) { return std::make_unique<sfc_covering_index>(sc); }, o);
     d.run();
@@ -85,17 +84,70 @@ int bind_loopback_listener(int* port_out) {
   ::_exit(0);
 }
 
-// Kills any child still alive when the test unwinds (assertion failures
-// must not leave daemon processes behind).
-struct child_reaper {
-  std::array<pid_t, kBrokers>& pids;
-  ~child_reaper() {
+// The three-broker line 0 - 1 - 2 as forked daemons on pre-bound loopback
+// listeners, with one client connection per broker. The destructor kills
+// any child still alive (assertion failures must not leave daemon
+// processes behind) and removes the WAL root.
+struct line_cluster {
+  static constexpr int kTimeoutMs = 20000;
+
+  schema s;
+  std::string wal_root;
+  std::array<int, kBrokers> fds{};
+  std::array<int, kBrokers> ports{};
+  std::array<pid_t, kBrokers> pids{-1, -1, -1};
+  std::array<cluster_client, kBrokers> clients;
+
+  explicit line_cluster(schema sc) : s(std::move(sc)) {
+    char wal_template[] = "/tmp/subcover-tcp-XXXXXX";
+    EXPECT_NE(::mkdtemp(wal_template), nullptr);
+    wal_root = wal_template;
+    for (int b = 0; b < kBrokers; ++b) fds[b] = bind_loopback_listener(&ports[b]);
+    for (int b = 0; b < kBrokers; ++b) spawn(b);
+    connect_all();
+  }
+  ~line_cluster() {
     for (auto& pid : pids)
       if (pid > 0) {
         ::kill(pid, SIGKILL);
         ::waitpid(pid, nullptr, 0);
         pid = -1;
       }
+    for (const int fd : fds) ::close(fd);
+    std::filesystem::remove_all(wal_root);
+  }
+
+  void spawn(int id) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) broker_child(id, s, fds, ports, wal_root);
+    pids[static_cast<std::size_t>(id)] = pid;
+  }
+
+  void connect_all() {
+    wire_msg probe;
+    probe.type = msg_type::client_dump;
+    for (int b = 0; b < kBrokers; ++b) {
+      auto& c = clients[static_cast<std::size_t>(b)];
+      c.close();
+      c.connect("127.0.0.1", ports[static_cast<std::size_t>(b)], kTimeoutMs);
+      (void)c.request(probe, kTimeoutMs);  // identify as a client immediately
+    }
+  }
+
+  // Orderly shutdown: every daemon checkpoints and exits 0.
+  void shutdown() {
+    for (auto& c : clients) {
+      wire_msg m;
+      m.type = msg_type::client_shutdown;
+      c.send(m);
+    }
+    for (int b = 0; b < kBrokers; ++b) {
+      int status = 0;
+      ASSERT_EQ(::waitpid(pids[b], &status, 0), pids[b]);
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "broker " << b;
+      pids[b] = -1;
+    }
   }
 };
 
@@ -120,44 +172,15 @@ bool cluster_matches(std::array<cluster_client, kBrokers>& clients, const networ
 }
 
 TEST(TcpClusterTest, KillAndRecoverConvergesByteIdentical) {
-  constexpr int kTimeoutMs = 20000;
-
-  char wal_template[] = "/tmp/subcover-tcp-XXXXXX";
-  ASSERT_NE(::mkdtemp(wal_template), nullptr);
-  const std::string wal_root = wal_template;
-
-  std::array<int, kBrokers> fds{};
-  std::array<int, kBrokers> ports{};
-  for (int b = 0; b < kBrokers; ++b) fds[b] = bind_loopback_listener(&ports[b]);
-
-  std::array<pid_t, kBrokers> pids{-1, -1, -1};
-  child_reaper reaper{pids};
-  const auto spawn = [&](int id) {
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) broker_child(id, fds, ports, wal_root);
-    pids[static_cast<std::size_t>(id)] = pid;
-  };
-  for (int b = 0; b < kBrokers; ++b) spawn(b);
-
-  std::array<cluster_client, kBrokers> clients;
-  const auto connect_all = [&] {
-    wire_msg probe;
-    probe.type = msg_type::client_dump;
-    for (int b = 0; b < kBrokers; ++b) {
-      auto& c = clients[static_cast<std::size_t>(b)];
-      c.close();
-      c.connect("127.0.0.1", ports[static_cast<std::size_t>(b)], kTimeoutMs);
-      (void)c.request(probe, kTimeoutMs);  // identify as a client immediately
-    }
-  };
-  connect_all();
+  constexpr int kTimeoutMs = line_cluster::kTimeoutMs;
+  line_cluster cl(workload::make_sensor_schema());
+  const schema& s = cl.s;
+  auto& clients = cl.clients;
 
   // Two reference trajectories in lockstep: refA never sees the disputed
   // operation, refB does. Pre-dispute they are fed identically (same
   // deterministic engine, so they stay byte-identical and assign the same
   // subscription ids).
-  const schema s = workload::make_sensor_schema();
   network_options no;
   no.use_covering = true;
   const auto make_ref = [&] {
@@ -233,14 +256,14 @@ TEST(TcpClusterTest, KillAndRecoverConvergesByteIdentical) {
     m.body = disputed;
     clients[1].send(m);  // no reply awaited — the kill races the processing
   }
-  ASSERT_EQ(::kill(pids[1], SIGKILL), 0);
-  ASSERT_EQ(::waitpid(pids[1], nullptr, 0), pids[1]);
-  pids[1] = -1;
+  ASSERT_EQ(::kill(cl.pids[1], SIGKILL), 0);
+  ASSERT_EQ(::waitpid(cl.pids[1], nullptr, 0), cl.pids[1]);
+  cl.pids[1] = -1;
 
   // Restart broker 1 from its WAL directory on the same listening socket.
   // (waitpid above also guarantees the WAL lockfile's flock is released.)
-  spawn(1);
-  connect_all();
+  cl.spawn(1);
+  cl.connect_all();
 
   // Converge to exactly one of the two legal outcomes. A transient
   // mid-resume state can match neither; a full match is stable because the
@@ -298,20 +321,67 @@ TEST(TcpClusterTest, KillAndRecoverConvergesByteIdentical) {
   }
   EXPECT_TRUE(cluster_matches(clients, *ref, kTimeoutMs));
 
-  // Orderly shutdown: every daemon checkpoints and exits 0.
-  for (auto& c : clients) {
+  cl.shutdown();
+}
+
+// An unsubscribe whose origin withdraws one subscription and re-forwards
+// another on the same link sends two data messages of one op down that
+// link (seq 0 and seq 1). When the next broker relays both further, it
+// holds two in-flight states for the op at once, and it must ack each
+// parent seq, or the origin never sends client_done.
+TEST(TcpClusterTest, UnsubscribeReforwardThroughARelayCompletes) {
+  constexpr int kReplyMs = 5000;
+  line_cluster cl(workload::make_uniform_schema(2, 10));
+  const schema& s = cl.s;
+  network_options no;
+  no.use_covering = true;
+  network ref(topology::line(kBrokers), s, no);
+
+  // At broker 0 (a line end), `wide` covers `narrow`, so only `wide`
+  // travels on to brokers 1 and 2.
+  const subscription wide(s, {{100, 900}, {100, 900}});
+  const subscription narrow(s, {{400, 500}, {400, 500}});
+  std::vector<sub_id> ids;
+  for (const subscription& sub : {wide, narrow}) {
     wire_msg m;
-    m.type = msg_type::client_shutdown;
-    c.send(m);
+    m.type = msg_type::client_subscribe;
+    m.id = ref.subscribe(0, sub);
+    m.body = sub;
+    ids.push_back(m.id);
+    const auto done = cl.clients[0].request(m, kReplyMs);
+    ASSERT_EQ(done.type, msg_type::client_done);
+    ASSERT_EQ(done.status, 0);
   }
-  for (int b = 0; b < kBrokers; ++b) {
-    int status = 0;
-    ASSERT_EQ(::waitpid(pids[b], &status, 0), pids[b]);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "broker " << b;
-    pids[b] = -1;
-  }
-  for (const int fd : fds) ::close(fd);
-  std::filesystem::remove_all(wal_root);
+  const auto msgs_before = ref.metrics().subscription_messages;
+
+  // Withdrawing `wide` re-forwards `narrow` from broker 0 to broker 1,
+  // which relays both the withdrawal and `narrow` on to broker 2.
+  ASSERT_TRUE(ref.unsubscribe(ids[0]));
+  ASSERT_EQ(ref.metrics().reforwards, 1u);
+  ASSERT_EQ(ref.metrics().unsubscription_messages, 2u);
+  ASSERT_EQ(ref.metrics().subscription_messages - msgs_before, 2u);
+  wire_msg unsub;
+  unsub.type = msg_type::client_unsubscribe;
+  unsub.id = ids[0];
+  cl.clients[0].send(unsub);
+  const auto done = cl.clients[0].recv(kReplyMs);
+  ASSERT_TRUE(done.has_value()) << "no client_done for the re-forwarding unsubscribe";
+  EXPECT_EQ(done->type, msg_type::client_done);
+  EXPECT_EQ(done->status, 0);
+  EXPECT_TRUE(cluster_matches(cl.clients, ref, kReplyMs));
+
+  // The re-forwarded `narrow` routes an event published at the far end.
+  const event ev(s, std::vector<std::uint64_t>{450, 450});
+  const auto expect = ref.publish(2, ev);
+  ASSERT_EQ(expect, std::vector<sub_id>{ids[1]});
+  wire_msg pub;
+  pub.type = msg_type::client_publish;
+  pub.values = event_values(ev);
+  const auto delivered = cl.clients[2].request(pub, kReplyMs);
+  EXPECT_EQ(delivered.status, 0);
+  EXPECT_EQ(delivered.delivered, expect);
+
+  cl.shutdown();
 }
 
 }  // namespace

@@ -191,25 +191,5 @@ TEST(KeyWidthEquivalence, SelectKeyWidth) {
   EXPECT_EQ(dominance_index(universe(16, 16)).width(), key_width::w512);
 }
 
-// The u512 facade views (sfc()/array()) stay coherent over a narrow engine.
-TEST(KeyWidthEquivalence, FacadeViewsWidenNarrowEngines) {
-  const universe u(2, 8);
-  dominance_index idx(u);
-  ASSERT_EQ(idx.width(), key_width::w64);
-  point p(2);
-  p[0] = 3;
-  p[1] = 5;
-  idx.insert(p, 42);
-  EXPECT_EQ(idx.array().size(), 1U);
-  const u512 key = idx.sfc().cell_key(p);
-  const auto hit = idx.array().first_in({key, key});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->id, 42U);
-  EXPECT_EQ(hit->key, key);
-  // Probing past the narrow domain clamps instead of overflowing.
-  EXPECT_EQ(idx.array().count_in({u512::zero(), u512::max()}), 1U);
-  EXPECT_FALSE(idx.array().first_in({u512::pow2(300), u512::max()}).has_value());
-}
-
 }  // namespace
 }  // namespace subcover

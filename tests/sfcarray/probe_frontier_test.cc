@@ -178,33 +178,6 @@ TEST(ProbeFrontier, AdversarialFrontiers) {
   }
 }
 
-// The u512 facade over a narrow engine (dominance_index::array()) must
-// satisfy the same contract, including frontiers that run past the narrow
-// key domain (reported as in-order misses).
-TEST(ProbeFrontier, WideningFacadeMatchesSingleRangePath) {
-  const universe u(2, 5);  // d*k = 10 -> u64 engine behind a u512 facade
-  for (const sfc_array_kind ak : kKinds) {
-    dominance_options opts;
-    opts.array = ak;
-    dominance_index idx(u, opts);
-    ASSERT_EQ(idx.width(), key_width::w64);
-    rng gen(0xfacade ^ static_cast<std::uint64_t>(ak));
-    for (std::uint64_t id = 0; id < 80; ++id) idx.insert(random_point(gen, u), id);
-
-    const sfc_array& facade = idx.array();
-    std::vector<key_range> frontier;
-    for (std::uint64_t lo = 0; lo < (1u << 10); lo += 19)
-      frontier.push_back({u512(lo), u512(lo + 11)});
-    // Ranges straddling and entirely above the u64 domain (lows keep
-    // ascending, per the contract): answered like first_in (clamped, then
-    // all-miss), still in frontier order.
-    frontier.push_back({u512(1010), u512::max()});
-    frontier.push_back({u512::pow2(80), u512::pow2(90)});
-    frontier.push_back({u512::pow2(200), u512::max()});
-    expect_frontier_matches<u512>(facade, frontier, kind_name(ak) + std::string(" facade"));
-  }
-}
-
 // The base-class default (independent first_in per range) is itself the
 // reference implementation; a minimal backend inheriting it must satisfy
 // the same contract, so derived backends can be pinned against it.
