@@ -316,6 +316,10 @@ broker broker::recover(int id, const schema& s, const std::vector<int>& neighbor
   return b;
 }
 
+void broker::restore(const broker_wal::recovery& rec) {
+  *this = recover(id_, schema_, links_, factory_, options_, rec);
+}
+
 std::size_t broker::forwarded_to(int link) const {
   const auto it = shards_.find(link);
   return it == shards_.end() ? 0 : it->second.forwarded.size();

@@ -140,7 +140,7 @@ class broker {
   // remove plus the recorded shard inserts/withdrawals. No covering check
   // re-runs and no metrics move — the record already carries the decision's
   // outcome. event_receipt records are a no-op here (their channel
-  // positions are the fault engine's concern, not the broker's).
+  // positions are the replica's concern, not the broker's).
   void apply_replay(const wal_record& r);
   // Rebuilds a broker from recovered durable state: the snapshot first
   // (forwarded sets through the bootstrap constructor, routing entries into
@@ -152,8 +152,11 @@ class broker {
                                       const std::vector<int>& neighbor_links,
                                       const covering_index_factory& factory,
                                       broker_options options, const broker_wal::recovery& rec);
+  // recover() in place, keeping this broker's id, links and options.
+  void restore(const broker_wal::recovery& rec);
 
   [[nodiscard]] int id() const { return id_; }
+  [[nodiscard]] const schema& message_schema() const { return schema_; }
   [[nodiscard]] std::size_t routing_entries() const { return table_.total_entries(); }
   [[nodiscard]] std::size_t forwarded_to(int link) const;
   // Ids forwarded over `link`, ascending — the per-shard state the

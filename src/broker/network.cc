@@ -190,8 +190,7 @@ network::network(topology t, schema s, network_options options)
       throw std::invalid_argument(
           "network: faults mode requires workers == 0 (the fault fabric is its own "
           "single-threaded virtual-time scheduler)");
-    faults_ = std::make_unique<fault_engine>(topology_, schema_, options_.factory, bo,
-                                             *options_.faults, brokers_, metrics_);
+    faults_ = std::make_unique<fault_engine>(topology_, *options_.faults, brokers_, metrics_);
   } else if (options_.workers >= 1) {
     async_ = std::make_unique<async_state>(options_.workers,
                                            static_cast<std::size_t>(topology_.size()));

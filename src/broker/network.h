@@ -1,8 +1,8 @@
 // In-process simulation of a broker tree running covering-optimized
 // subscription propagation and reverse-path event routing, with three
-// execution engines (a fourth — real TCP sockets between one OS process
-// per broker, byte-identical converged state — lives in
-// broker/transport.h as the standalone broker_daemon):
+// execution engines (a fourth — the standalone broker_daemon in
+// broker/transport.h, one OS process per broker over TCP — runs the same
+// replication core, broker/replica.h, as the faults mode below):
 //
 //   * Deterministic mode (workers == 0, the default): messages between
 //     brokers are processed from a single FIFO queue until quiescence on the
@@ -17,11 +17,13 @@
 //     out across the pool (broker::handle_*_parallel). Each subscribe /
 //     unsubscribe / publish call still runs to quiescence before returning.
 //
-//   * Faults mode (options.faults set; requires workers == 0): inter-broker
-//     messages travel through a seeded deterministic fault fabric — drop,
-//     duplicate, delay/reorder, broker crash-restart-from-WAL — with acks,
-//     bounded retransmission, and idempotent handling rebuilding exactly
-//     the deterministic-mode final state on top (broker/fault_engine.h).
+//   * Faults mode (options.faults set; requires workers == 0): one
+//     replica per broker (broker/replica.h: WAL-append before ack, dedup,
+//     cascading acks, re-emission after a crash — the daemon's protocol)
+//     over a seeded deterministic fault fabric that drops, duplicates,
+//     delays and reorders frames and SIGKILLs brokers, which restart from
+//     their WALs. Every operation converges to exactly the
+//     deterministic-mode final state (broker/fault_engine.h).
 //
 // Parallel mode may reorder message processing across brokers, but on the
 // acyclic overlay every broker receives all of an operation's messages from

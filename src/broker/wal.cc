@@ -85,6 +85,11 @@ std::vector<std::uint8_t> encode_record(const wal_record& r) {
     case wal_record::kind::event_receipt:
       break;
   }
+  codec::put_varint(out, r.send_base.size());
+  for (const auto& [link, seq] : r.send_base) {
+    codec::put_signed(out, link);
+    codec::put_varint(out, seq);
+  }
   return out;
 }
 
@@ -126,6 +131,11 @@ wal_record decode_record(const std::uint8_t* p, std::size_t n) {
     }
     case wal_record::kind::event_receipt:
       break;
+  }
+  const auto nbase = in.varint();
+  for (std::uint64_t i = 0; i < nbase; ++i) {
+    const int link = static_cast<int>(in.signed_varint());
+    r.send_base[link] = in.varint();
   }
   if (!in.done()) throw wal_error("wal: trailing bytes in record payload");
   return r;

@@ -13,11 +13,10 @@
 // in tests/broker/broker_recovery_test.cc).
 //
 // Idempotency keys: every record carries the op-scoped channel position
-// (op, from, seq) it was applied at. The fault engine rebuilds its
-// duplicate-suppression state from these keys after a crash, which is what
-// makes "WAL-append before ack" turn at-least-once message delivery into
-// exactly-once state application (docs/ARCHITECTURE.md, fault model). The
-// TCP daemon (broker/transport.h) does the same over real sockets.
+// (op, from, seq) it was applied at. The replication core (broker/
+// replica.h) rebuilds its duplicate-suppression state from these keys after
+// a crash, which is what makes "WAL-append before ack" turn at-least-once
+// message delivery into exactly-once state application.
 // event_receipt records exist only for this: events mutate no routing
 // state, but their channel position must survive a crash so retransmitted
 // (already-processed) events are suppressed instead of re-delivered.
@@ -37,8 +36,8 @@
 // (recovery::torn_bytes). Payloads are varint/zigzag coded (LEB128).
 //
 // The snapshot store holds one checksummed broker_snapshot (routing table +
-// per-link forwarded sets) plus an optional opaque aux frame (the daemon
-// persists its in-flight duplicate-suppression keys there, so compaction
+// per-link forwarded sets) plus an optional opaque aux frame (the replica
+// persists its duplicate-suppression keys there, so compaction
 // cannot widen the exactly-once window); write_snapshot replaces both
 // atomically and truncates the log, bounding replay time and WAL size.
 #pragma once
@@ -76,8 +75,8 @@ struct wal_options {
 };
 
 // One logged disposition. `op`/`from`/`seq` form the idempotency key: the
-// fault engine's per-operation channel position at which this record was
-// applied (from == kLocalLink for client-originated messages).
+// per-operation channel position at which this record was applied
+// (from == kLocalLink for client-originated messages).
 struct wal_record {
   enum class kind : std::uint8_t { subscribe = 1, unsubscribe = 2, event_receipt = 3 };
   kind k = kind::subscribe;
@@ -90,6 +89,9 @@ struct wal_record {
   std::vector<int> withdrawn_links;  // unsubscribe: links the id was withdrawn from
   // unsubscribe: re-forwards the withdrawal uncovered, as (link, (id, body)).
   std::vector<std::pair<int, std::pair<sub_id, subscription>>> reforwards;
+  // Per link, the op's send seq of this record's first frame there (absent
+  // = 0), so replaying the record alone regenerates its seqs.
+  std::map<int, std::uint64_t> send_base;
 
   friend bool operator==(const wal_record&, const wal_record&) = default;
 };
@@ -167,8 +169,8 @@ class file_lock {
 };
 
 // One broker's durable state: a snapshot store plus an append-only record
-// log. Not thread-safe; driven by the single-threaded fault engine, the
-// daemon's event loop, or a test — one call at a time.
+// log. Not thread-safe; driven by one replica (broker/replica.h) or a
+// test — one call at a time.
 class broker_wal {
  public:
   // In-memory stores (the fault engine's configuration).
@@ -221,7 +223,7 @@ class broker_wal {
 };
 
 // Codec internals, exposed for tests (round-trip and torn-frame property
-// tests) and for the fault engine's size accounting.
+// tests) and for the daemon's routing-state dump.
 std::vector<std::uint8_t> encode_record(const wal_record& r);
 std::vector<std::uint8_t> encode_snapshot(const broker_snapshot& s);
 

@@ -38,8 +38,8 @@ broker_options covering_opts() {
 }
 
 // Drives one broker through a seeded churn of subscribes/unsubscribes from
-// mixed links, logging every disposition the way the fault engine does
-// (src/broker/fault_engine.cc, process): the WAL records state deltas, so
+// mixed links, logging every disposition the way the replication core does
+// (src/broker/replica.cc, process_fresh): the WAL records state deltas, so
 // this is the full durable trace of the broker's history.
 struct churn_driver {
   broker& br;

@@ -39,24 +39,27 @@ network_options faulty_opts(const fault_options& f) {
 }
 
 // Runs the same seeded churn on both networks, asserting per-publish
-// delivery equality and ground-truth completeness along the way.
+// delivery equality and ground-truth completeness along the way. Of every
+// ten steps, `subscribes` subscribe, `unsubscribes` unsubscribe and the
+// rest publish.
 void run_identical_churn(network& det, network& faulty, const schema& s, std::uint64_t seed,
-                         int steps) {
-  workload::subscription_gen subs(s, {}, seed);
+                         int steps, std::uint64_t subscribes = 5, std::uint64_t unsubscribes = 2,
+                         const workload::subscription_gen_options& gen_opts = {}) {
+  workload::subscription_gen subs(s, gen_opts, seed);
   workload::event_gen events(s, seed + 1);
   rng gen(seed + 2);
   const auto n = static_cast<std::size_t>(det.broker_count());
   std::vector<sub_id> active;
   for (int step = 0; step < steps; ++step) {
     const auto roll = gen.uniform(0, 9);
-    if (roll < 5 || active.empty()) {
+    if (roll < subscribes || active.empty()) {
       const auto at = static_cast<int>(gen.index(n));
       const auto body = subs.next();
       const auto ida = det.subscribe(at, body);
       const auto idb = faulty.subscribe(at, body);
       ASSERT_EQ(ida, idb);
       active.push_back(ida);
-    } else if (roll < 7) {
+    } else if (roll < subscribes + unsubscribes) {
       const auto pick = gen.index(active.size());
       ASSERT_TRUE(det.unsubscribe(active[pick]));
       ASSERT_TRUE(faulty.unsubscribe(active[pick]));
@@ -141,6 +144,32 @@ TEST(FaultInjection, CrashRecoveryConvergesMidOperation) {
   expect_same_final_state(det, faulty);
   EXPECT_GT(faulty.metrics().recoveries, 0U);
   EXPECT_GT(faulty.metrics().duplicates_suppressed, 0U);  // the ack-lost crash variant
+}
+
+TEST(FaultInjection, RelaysKilledMidUnsubscribeConverge) {
+  // SIGKILL-like crashes under unsubscribe-heavy churn on a depth-3 tree,
+  // so relays with children die between an unsubscribe's withdrawal and
+  // its re-forwards and lose their ledgers, op states and send seqs. Only
+  // crashes are injected, so every duplicate descends from a restart:
+  // the neighbours' ledger replay or the restarted broker's resumed client
+  // ops, each of which first meets a replica with no state for it — the
+  // re-emission path.
+  const schema s = workload::make_uniform_schema(2, 8);
+  workload::subscription_gen_options wide;  // wildcards make covering, and re-forwards, common
+  wide.wildcard_prob = 0.4;
+  for (const std::uint64_t seed : {7U, 8U, 9U}) {
+    fault_options f;
+    f.seed = seed;
+    f.crash_prob = 0.08;
+    f.checkpoint_every = 8;
+    network det(topology::balanced_tree(2, 3), s, base_opts());
+    network faulty(topology::balanced_tree(2, 3), s, faulty_opts(f));
+    run_identical_churn(det, faulty, s, 3000 + seed, 160, 4, 4, wide);
+    expect_same_final_state(det, faulty);
+    EXPECT_GT(faulty.metrics().reforwards, 0U) << "seed " << seed;
+    EXPECT_GT(faulty.metrics().recoveries, 0U) << "seed " << seed;
+    EXPECT_GT(faulty.metrics().duplicates_suppressed, 0U) << "seed " << seed;
+  }
 }
 
 TEST(FaultInjection, RecoverBrokerBetweenOperationsIsByteIdentical) {
