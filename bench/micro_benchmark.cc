@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -28,7 +30,6 @@
 #include "sfc/z_curve.h"
 #include "sfcarray/skiplist_array.h"
 #include "util/random.h"
-#include "util/simd_kernels.h"
 #include "workload/subscription_gen.h"
 
 namespace subcover {
@@ -847,27 +848,35 @@ BENCHMARK(BM_ChurnQuery)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// WAL replay throughput: rebuild a broker from a recorded churn history
-// (decode every framed record + apply_replay each disposition — no covering
-// checks re-run, the records carry the decisions). Arg: log length in
-// records. items/sec = records replayed per second, the recovery-time
-// headline the checkpoint policy (fault_options::checkpoint_every) bounds.
-void BM_RecoveryReplay(benchmark::State& state) {
-  const auto n_records = static_cast<int>(state.range(0));
-  const schema s = workload::make_uniform_schema(2, 8);
-  const std::vector<int> links = {1, 2, 3};
-  const covering_index_factory factory = [](const schema& sc) {
+// The broker set-up the recorded history and its replay share.
+struct recovery_setup {
+  schema s = workload::make_uniform_schema(2, 8);
+  std::vector<int> links = {1, 2, 3};
+  covering_index_factory factory = [](const schema& sc) {
     sfc_covering_options so;
     so.max_cubes = 2048;
     return std::make_unique<sfc_covering_index>(sc, so);
   };
-  broker_options bo;
-  bo.use_covering = true;
-  bo.epsilon = 0.1;
-  // Record the history once: a subscribe-heavy churn from mixed links,
-  // logged the way the fault engine logs it.
-  broker writer(0, s, links, factory, bo);
-  broker_wal wal;
+  broker_options bo = [] {
+    broker_options o;
+    o.use_covering = true;
+    o.epsilon = 0.1;
+    return o;
+  }();
+};
+
+// Records a subscribe-heavy churn of n_records from mixed links, logged the
+// way the fault engine logs it. The covering checks make this far slower
+// than the replay it feeds, so each size is recorded once per process.
+const broker_wal& recorded_history(const recovery_setup& setup, int n_records) {
+  static std::map<int, std::unique_ptr<broker_wal>> cache;
+  auto& slot = cache[n_records];
+  if (slot != nullptr) return *slot;
+  slot = std::make_unique<broker_wal>();
+  broker_wal& wal = *slot;
+  const schema& s = setup.s;
+  const std::vector<int>& links = setup.links;
+  broker writer(0, s, links, setup.factory, setup.bo);
   network_metrics m;
   workload::subscription_gen_options wo;
   wo.kind = workload::workload_kind::clustered;
@@ -903,132 +912,29 @@ void BM_RecoveryReplay(benchmark::State& state) {
     }
     wal.append(r);
   }
+  return wal;
+}
+
+// WAL replay throughput: rebuild a broker from a recorded churn history
+// (decode every framed record + apply_replay each disposition — no covering
+// checks re-run, the records carry the decisions). Arg: log length in
+// records. items/sec = records replayed per second, the recovery-time
+// headline the checkpoint policy (fault_options::checkpoint_every) bounds.
+void BM_RecoveryReplay(benchmark::State& state) {
+  const auto n_records = static_cast<int>(state.range(0));
+  static const recovery_setup setup;
+  const broker_wal& wal = recorded_history(setup, n_records);
   for (auto _ : state) {
     const auto rec = wal.recover();
     benchmark::DoNotOptimize(rec.records.size());
-    const broker rebuilt = broker::recover(0, s, links, factory, bo, rec);
+    const broker rebuilt =
+        broker::recover(0, setup.s, setup.links, setup.factory, setup.bo, rec);
     benchmark::DoNotOptimize(rebuilt.routing_entries());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n_records);
   state.counters["wal_bytes"] = benchmark::Counter(static_cast<double>(wal.bytes_appended()));
 }
 BENCHMARK(BM_RecoveryReplay)->Arg(1024)->Arg(8192)->UseRealTime();
-
-// ---- BM_SimdKernels: the level-range kernel library, dispatched vs scalar.
-//
-// Arg = backend: 0 = the scalar reference backend (simd::scalar::), 1 = the
-// runtime-dispatched entry points (simd:: — AVX2/SSE4.2 where the CPU has
-// them). The /1 vs /0 ratio of each pair is the vectorization headline
-// (>= 1.3x on the coalesce and volume kernels).
-// Inputs model a query-plan level frontier: sorted cube-aligned lows with
-// clustered gaps (so coalescing both chains and breaks), 4 Ki lanes — the
-// scale of a large level at the paper's universes.
-
-// Sorted, distinct, cube-aligned lows: clusters of `run_len` adjacent cubes
-// separated by a skipped cube, so runs form and break continuously.
-std::vector<std::uint64_t> frontier_lows(std::size_t n, std::uint64_t cube_cells,
-                                         std::size_t run_len) {
-  std::vector<std::uint64_t> lows;
-  lows.reserve(n);
-  std::uint64_t lo = 0;
-  while (lows.size() < n) {
-    for (std::size_t i = 0; i < run_len && lows.size() < n; ++i) {
-      lows.push_back(lo);
-      lo += cube_cells;
-    }
-    lo += cube_cells;  // break the chain
-  }
-  return lows;
-}
-
-void BM_SimdKernelsCoalesce(benchmark::State& state) {
-  constexpr std::size_t kLanes = 4096;
-  constexpr std::uint64_t kCubeCells = 1u << 12;
-  const bool dispatched = state.range(0) != 0;
-  const auto lows = frontier_lows(kLanes, kCubeCells, 5);
-  std::vector<std::uint64_t> run_lo(kLanes), run_hi(kLanes);
-  for (auto _ : state) {
-    const std::size_t runs =
-        dispatched
-            ? simd::coalesce_cubes_u64(lows.data(), kLanes, kCubeCells, run_lo.data(),
-                                       run_hi.data())
-            : simd::scalar::coalesce_cubes_u64(lows.data(), kLanes, kCubeCells, run_lo.data(),
-                                               run_hi.data());
-    benchmark::DoNotOptimize(runs);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kLanes);
-}
-BENCHMARK(BM_SimdKernelsCoalesce)->Arg(0)->Arg(1);
-
-void BM_SimdKernelsVolume(benchmark::State& state) {
-  // Volume accumulation over a run frontier: extents from the endpoint
-  // columns (sub), then the running searched-volume ledger (prefix sum) and
-  // the level total (sum) — the plan's per-level accounting kernels.
-  constexpr std::size_t kLanes = 4096;
-  constexpr std::uint64_t kCubeCells = 1u << 12;
-  const bool dispatched = state.range(0) != 0;
-  const auto lows = frontier_lows(kLanes, kCubeCells, 5);
-  std::vector<std::uint64_t> his(kLanes);
-  for (std::size_t i = 0; i < kLanes; ++i) his[i] = lows[i] + (kCubeCells - 1);
-  std::vector<std::uint64_t> ext(kLanes), cum(kLanes);
-  for (auto _ : state) {
-    if (dispatched) {
-      simd::sub_u64(his.data(), lows.data(), ext.data(), kLanes);
-      simd::prefix_sum_u64(ext.data(), cum.data(), kLanes);
-      benchmark::DoNotOptimize(simd::sum_u64(ext.data(), kLanes));
-    } else {
-      simd::scalar::sub_u64(his.data(), lows.data(), ext.data(), kLanes);
-      simd::scalar::prefix_sum_u64(ext.data(), cum.data(), kLanes);
-      benchmark::DoNotOptimize(simd::scalar::sum_u64(ext.data(), kLanes));
-    }
-    benchmark::DoNotOptimize(cum.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kLanes);
-}
-BENCHMARK(BM_SimdKernelsVolume)->Arg(0)->Arg(1);
-
-void BM_SimdKernelsSuffixMin(benchmark::State& state) {
-  // The sweep-order suffix-min-rank table: right-to-left masked running
-  // minimum, the kernel that lets a frontier sweep stop early.
-  constexpr std::size_t kLanes = 4096;
-  const bool dispatched = state.range(0) != 0;
-  rng gen(17);
-  std::vector<std::uint32_t> rank(kLanes), out(kLanes);
-  for (auto& r : rank) r = static_cast<std::uint32_t>(gen.uniform(0, kLanes));
-  for (auto _ : state) {
-    if (dispatched) {
-      simd::suffix_min_masked_u32(rank.data(), kLanes, 1, out.data());
-    } else {
-      simd::scalar::suffix_min_masked_u32(rank.data(), kLanes, 1, out.data());
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kLanes);
-}
-BENCHMARK(BM_SimdKernelsSuffixMin)->Arg(0)->Arg(1);
-
-void BM_SimdKernelsLowerBound(benchmark::State& state) {
-  // The sorted-vector probe bound: key-only partition point over 16-byte
-  // {key, id} entries, the per-probe descent of every first_in.
-  constexpr std::size_t kPairs = std::size_t{1} << 16;
-  const bool dispatched = state.range(0) != 0;
-  rng gen(23);
-  std::vector<std::uint64_t> words(2 * kPairs);
-  for (std::size_t i = 0; i < kPairs; ++i) {
-    words[2 * i] = static_cast<std::uint64_t>(i) << 8;  // sorted keys
-    words[2 * i + 1] = i;                               // payload
-  }
-  std::uint64_t probe = 0;
-  for (auto _ : state) {
-    probe = (probe * 2862933555777941757ULL + 3037000493ULL);
-    const std::uint64_t key = (probe % kPairs) << 8;
-    const std::size_t it = dispatched
-                               ? simd::lower_bound_kv_u64(words.data(), 0, kPairs, key)
-                               : simd::scalar::lower_bound_kv_u64(words.data(), 0, kPairs, key);
-    benchmark::DoNotOptimize(it);
-  }
-}
-BENCHMARK(BM_SimdKernelsLowerBound)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace subcover

@@ -4,9 +4,17 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 namespace subcover {
+
+// Whether a counter takes part in cross-engine equivalence (same_counters).
+// logical: a deterministic function of the workload, equal across the
+// deterministic, parallel, fault-injection and TCP engines. physical: a
+// timer reading or a description of the transport, the fault schedule or
+// the maintenance policy, which may differ between engines.
+enum class counter_kind { logical, physical };
 
 struct network_metrics {
   // Broker-to-broker subscription forwards (what covering suppresses).
@@ -37,26 +45,20 @@ struct network_metrics {
   std::uint64_t covering_tier_cold_hits = 0;
   // Deferred-erase maintenance work behind the covering indexes
   // (query_stats maint_* fields; zero for in-place-erase backends or with
-  // eager compaction). Physical counters: they move with the compaction
-  // policy and with crash-recovery index rebuilds, so they are excluded
-  // from same_counters like the fault-transport set below.
+  // eager compaction). They move with the compaction policy and with
+  // crash-recovery index rebuilds.
   std::uint64_t covering_maint_tombstones = 0;
   std::uint64_t covering_maint_purged = 0;
   std::uint64_t covering_maint_compactions = 0;
-  // Fault-injection engine accounting (zero outside faults mode). These are
-  // *transport* counters — retransmissions, suppressed duplicates, broker
-  // crash-recoveries, durable bytes written — and are deliberately excluded
-  // from same_counters: the logical counters above must match deterministic
-  // mode exactly under any fault schedule, while these describe the fault
-  // schedule itself.
+  // Fault-injection engine accounting (zero outside faults mode):
+  // retransmissions, suppressed duplicates, broker crash-recoveries,
+  // durable bytes written. They describe the fault schedule itself.
   std::uint64_t retries = 0;
   std::uint64_t duplicates_suppressed = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t wal_bytes = 0;
   // TCP transport accounting (zero outside the socket daemon; broker/
-  // transport.h). Physical counters like the fault-transport set above —
-  // they describe what the OS and the network did to the byte stream, not
-  // the logical computation — so same_counters excludes them too.
+  // transport.h): what the OS and the network did to the byte stream.
   std::uint64_t reconnects = 0;
   std::uint64_t heartbeats_missed = 0;
   std::uint64_t bytes_on_wire = 0;
@@ -76,16 +78,50 @@ struct network_metrics {
   [[nodiscard]] std::string to_string() const;
 };
 
-// True when every deterministic logical counter matches. covering_check_ns
-// is excluded (wall-clock timer readings differ run to run even on the
-// byte-identical sequential path), as are the maintenance counters
-// (covering_maint_* — physical tombstone/compaction work that moves with
-// crash-recovery rebuilds) and the fault-transport counters
-// (retries, duplicates_suppressed, recoveries, wal_bytes — they describe
-// the injected fault schedule, not the logical computation) and the TCP
-// physical counters (reconnects, heartbeats_missed, bytes_on_wire,
-// partial_writes — they describe what the OS did to the stream). This is the
-// comparison the deterministic-vs-parallel and deterministic-vs-faults
+struct metrics_field {
+  const char* name;  // to_string label
+  std::uint64_t network_metrics::*member;
+  counter_kind kind;
+};
+
+// Every counter, once. Declaration order is the wire order (broker/wire.cc
+// sends the counted list in this order) and the to_string order.
+// covering_check_ns is physical because it is a wall-clock timer. The probe
+// and tier counters are execution details, but deterministic for a given
+// index configuration, so the engines must agree on them too.
+inline constexpr metrics_field kMetricsFields[] = {
+    {"sub_msgs", &network_metrics::subscription_messages, counter_kind::logical},
+    {"unsub_msgs", &network_metrics::unsubscription_messages, counter_kind::logical},
+    {"reforwards", &network_metrics::reforwards, counter_kind::logical},
+    {"event_msgs", &network_metrics::event_messages, counter_kind::logical},
+    {"deliveries", &network_metrics::deliveries, counter_kind::logical},
+    {"cov_checks", &network_metrics::covering_checks, counter_kind::logical},
+    {"cov_hits", &network_metrics::covering_hits, counter_kind::logical},
+    {"cov_ns", &network_metrics::covering_check_ns, counter_kind::physical},
+    {"cov_runs_probed", &network_metrics::covering_runs_probed, counter_kind::logical},
+    {"cov_restarted", &network_metrics::covering_probes_restarted, counter_kind::logical},
+    {"cov_resumed", &network_metrics::covering_probes_resumed, counter_kind::logical},
+    {"cov_tier_cold", &network_metrics::covering_tier_cold_probes, counter_kind::logical},
+    {"cov_tier_summary", &network_metrics::covering_tier_summary_answers, counter_kind::logical},
+    {"cov_tier_decoded", &network_metrics::covering_tier_blocks_decoded, counter_kind::logical},
+    {"cov_tier_hits", &network_metrics::covering_tier_cold_hits, counter_kind::logical},
+    {"cov_maint_tombs", &network_metrics::covering_maint_tombstones, counter_kind::physical},
+    {"cov_maint_purged", &network_metrics::covering_maint_purged, counter_kind::physical},
+    {"cov_maint_compact", &network_metrics::covering_maint_compactions, counter_kind::physical},
+    {"retries", &network_metrics::retries, counter_kind::physical},
+    {"dups_suppressed", &network_metrics::duplicates_suppressed, counter_kind::physical},
+    {"recoveries", &network_metrics::recoveries, counter_kind::physical},
+    {"wal_bytes", &network_metrics::wal_bytes, counter_kind::physical},
+    {"reconnects", &network_metrics::reconnects, counter_kind::physical},
+    {"hb_missed", &network_metrics::heartbeats_missed, counter_kind::physical},
+    {"wire_bytes", &network_metrics::bytes_on_wire, counter_kind::physical},
+    {"partial_writes", &network_metrics::partial_writes, counter_kind::physical},
+};
+static_assert(std::size(kMetricsFields) * sizeof(std::uint64_t) == sizeof(network_metrics),
+              "every network_metrics counter needs a kMetricsFields entry");
+
+// True when every logical counter matches. This is the comparison the
+// deterministic-vs-parallel, deterministic-vs-faults and TCP-cluster
 // equivalence tests pin.
 [[nodiscard]] bool same_counters(const network_metrics& a, const network_metrics& b);
 

@@ -11,56 +11,18 @@ namespace {
 using wire_reader = codec::basic_byte_reader<wire_error>;
 using codec::kFrameHeader;
 
-// Metrics travel as a counted list of varints in declaration order, so a
-// field added to network_metrics shows up here (and in the count check)
-// exactly once.
-constexpr std::size_t kMetricsFields = 26;
-
+// Metrics travel as a counted list of varints in kMetricsFields order
+// (broker/metrics.h), so a field added there shows up here exactly once.
 void put_metrics(std::vector<std::uint8_t>& out, const network_metrics& m) {
-  const std::uint64_t fields[kMetricsFields] = {
-      m.subscription_messages, m.unsubscription_messages, m.reforwards, m.event_messages,
-      m.deliveries, m.covering_checks, m.covering_hits, m.covering_check_ns,
-      m.covering_runs_probed, m.covering_probes_restarted, m.covering_probes_resumed,
-      m.covering_tier_cold_probes, m.covering_tier_summary_answers,
-      m.covering_tier_blocks_decoded, m.covering_tier_cold_hits, m.covering_maint_tombstones,
-      m.covering_maint_purged, m.covering_maint_compactions, m.retries,
-      m.duplicates_suppressed, m.recoveries, m.wal_bytes, m.reconnects, m.heartbeats_missed,
-      m.bytes_on_wire, m.partial_writes};
-  codec::put_varint(out, kMetricsFields);
-  for (const auto f : fields) codec::put_varint(out, f);
+  codec::put_varint(out, std::size(kMetricsFields));
+  for (const metrics_field& f : kMetricsFields) codec::put_varint(out, m.*f.member);
 }
 
 network_metrics read_metrics(wire_reader& in) {
-  if (in.varint() != kMetricsFields) throw wire_error("wire: metrics field-count mismatch");
-  std::uint64_t f[kMetricsFields];
-  for (auto& v : f) v = in.varint();
+  if (in.varint() != std::size(kMetricsFields))
+    throw wire_error("wire: metrics field-count mismatch");
   network_metrics m;
-  m.subscription_messages = f[0];
-  m.unsubscription_messages = f[1];
-  m.reforwards = f[2];
-  m.event_messages = f[3];
-  m.deliveries = f[4];
-  m.covering_checks = f[5];
-  m.covering_hits = f[6];
-  m.covering_check_ns = f[7];
-  m.covering_runs_probed = f[8];
-  m.covering_probes_restarted = f[9];
-  m.covering_probes_resumed = f[10];
-  m.covering_tier_cold_probes = f[11];
-  m.covering_tier_summary_answers = f[12];
-  m.covering_tier_blocks_decoded = f[13];
-  m.covering_tier_cold_hits = f[14];
-  m.covering_maint_tombstones = f[15];
-  m.covering_maint_purged = f[16];
-  m.covering_maint_compactions = f[17];
-  m.retries = f[18];
-  m.duplicates_suppressed = f[19];
-  m.recoveries = f[20];
-  m.wal_bytes = f[21];
-  m.reconnects = f[22];
-  m.heartbeats_missed = f[23];
-  m.bytes_on_wire = f[24];
-  m.partial_writes = f[25];
+  for (const metrics_field& f : kMetricsFields) m.*f.member = in.varint();
   return m;
 }
 

@@ -10,7 +10,6 @@
 #include "dominance/dominance_index.h"
 #include "sfc/extremal_decomposition.h"
 #include "sfcarray/tiered_sfc_array.h"
-#include "util/simd_kernels.h"
 #include "util/timer.h"
 
 namespace subcover {
@@ -61,20 +60,16 @@ bool probes_before(const basic_key_range<K>& a, const basic_key_range<K>& b) {
   return a.lo < b.lo;
 }
 
-// --- plain-loop frontier primitives -----------------------------------------
-// The only implementation at the wide key widths (the vector kernels of
-// util/simd_kernels.h are u64-lane), and so the reference the u64 kernel
-// path is pinned against: a w512-forced index runs these loops on the same
-// data (tests/dominance/simd_equivalence_test.cc). Each mirrors the
-// semantics of the same-named kernel exactly.
+// --- frontier primitives ----------------------------------------------------
+// One plain loop per primitive over the SoA columns, at every key width.
 
 // Coalesces sorted, distinct, cube-aligned lows (cube span `cube_cells`)
 // into maximal runs; equal-size aligned cubes chain exactly when
 // lo[i] - lo[i-1] == cube_cells. Byte-identical to merge_ranges_inplace on
 // the same cubes. Requires n > 0.
 template <class K>
-std::size_t coalesce_cubes_plain(const K* lo, std::size_t n, const K& cube_cells, K* run_lo,
-                                 K* run_hi) {
+std::size_t coalesce_cubes(const K* lo, std::size_t n, const K& cube_cells, K* run_lo,
+                           K* run_hi) {
   const K ext = cube_cells - key_traits<K>::one();
   std::size_t out = 0;
   run_lo[0] = lo[0];
@@ -94,7 +89,7 @@ std::size_t coalesce_cubes_plain(const K* lo, std::size_t n, const K& cube_cells
 // Argbest under probes_before over the extent/lo columns: largest extent,
 // ties by smallest lo, further ties by first index. Requires n > 0.
 template <class K>
-std::size_t head_scan_plain(const K* ext, const K* lo, std::size_t n) {
+std::size_t head_scan(const K* ext, const K* lo, std::size_t n) {
   std::size_t best = 0;
   for (std::size_t p = 1; p < n; ++p) {
     const bool wins = ext[p] != ext[best] ? ext[best] < ext[p] : lo[p] < lo[best];
@@ -253,13 +248,10 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
       ts.run_lo[0] = ts.lo_col[0];
       ts.run_hi[0] = ts.lo_col[0] | level_mask;
       run_count = 1;
-    } else if constexpr (std::is_same_v<K, std::uint64_t>) {
-      run_count = simd::coalesce_cubes_u64(ts.lo_col.data(), cube_count, level_mask + 1,
-                                           ts.run_lo.data(), ts.run_hi.data());
     } else {
-      run_count = coalesce_cubes_plain<K>(ts.lo_col.data(), cube_count,
-                                          level_mask + key_traits<K>::one(), ts.run_lo.data(),
-                                          ts.run_hi.data());
+      run_count = coalesce_cubes<K>(ts.lo_col.data(), cube_count,
+                                    level_mask + key_traits<K>::one(), ts.run_lo.data(),
+                                    ts.run_hi.data());
     }
     st.runs_in_plan += run_count;
 
@@ -284,14 +276,8 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
       // Extent lanes: the volume key of every ordering and accumulation
       // below.
       ts.run_ext.resize(run_count);
-      std::size_t head;
-      if constexpr (std::is_same_v<K, std::uint64_t>) {
-        simd::sub_u64(ts.run_hi.data(), ts.run_lo.data(), ts.run_ext.data(), run_count);
-        head = simd::head_rank_scan_u64(ts.run_ext.data(), ts.run_lo.data(), run_count);
-      } else {
-        for (std::size_t p = 0; p < run_count; ++p) ts.run_ext[p] = ts.run_hi[p] - ts.run_lo[p];
-        head = head_scan_plain<K>(ts.run_ext.data(), ts.run_lo.data(), run_count);
-      }
+      for (std::size_t p = 0; p < run_count; ++p) ts.run_ext[p] = ts.run_hi[p] - ts.run_lo[p];
+      const std::size_t head = head_scan<K>(ts.run_ext.data(), ts.run_lo.data(), run_count);
       ++st.runs_probed;
       ++st.probes_restarted;
       const auto head_hit = ts.array->first_in(run_at(head), &ts.hint);
@@ -368,9 +354,13 @@ std::optional<std::uint64_t> query_plan::run_impl(typed_state<K>& ts, const poin
         // Suffix-min-rank table: the sink's oracle for stopping the sweep
         // once no unprobed range can outrank the best hit. The head rank is
         // already answered (it missed), so it must not hold the sweep open;
-        // the kernel's floor masks it to the weakest rank.
+        // it counts as the weakest rank.
         suffix_min_rank_.resize(pn);
-        simd::suffix_min_masked_u32(sweep_rank, pn, 1, suffix_min_rank_.data());
+        std::uint32_t min_rank = ~std::uint32_t{0};
+        for (std::size_t j = pn; j-- > 0;) {
+          if (sweep_rank[j] != 0) min_rank = std::min(min_rank, sweep_rank[j]);
+          suffix_min_rank_[j] = min_rank;
+        }
         hit_found_.assign(probe_count, 0);
         hit_id_.resize(probe_count);
 

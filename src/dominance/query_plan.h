@@ -22,16 +22,12 @@
 // of level i has the same extent — hi is lo | mask(d*i), never stored per
 // cube); coalescing sorts that one key column and emits maximal runs into
 // the `run_lo` / `run_hi` columns; `run_ext` (hi - lo lanes) feeds the
-// volume ordering and the searched-volume accumulation. On u64-width
-// universes (d*k <= 64, the common case) the per-level work on those
-// columns — cube coalescing, extent subtraction, the head-probe argbest
-// scan, the sweep's suffix-min-rank table — runs through the
-// runtime-dispatched vector kernels of util/simd_kernels.h (scalar /
-// SSE4.2 / AVX2, picked once per process via util/cpu_features.h;
-// SUBCOVER_FORCE_SCALAR pins the scalar backend). The u128/u512 widths run
-// the plan's own plain loops, which mirror the kernels exactly, so a
-// w512-forced index is the reference the u64 kernel path is pinned
-// byte-identical against (tests/dominance/simd_equivalence_test.cc).
+// volume ordering and the searched-volume accumulation. Each per-level
+// primitive on those columns — cube coalescing, extent subtraction, the
+// head-probe argbest scan, the sweep's suffix-min-rank table — is one plain
+// loop templated on the key type, the same code at every width. The query
+// cost is the cube enumeration and the array probes, not these O(cubes +
+// runs) lane loops.
 // Results, stop decisions and all query_stats are identical at every key
 // width; only speed moves.
 //
@@ -146,7 +142,7 @@ class query_plan {
     std::vector<K> run_hi;
     std::vector<K> run_ext;
     // Materialized AoS sweep list handed to probe_frontier (the array API
-    // speaks ranges, the kernels speak columns).
+    // speaks ranges, the frontier loops speak columns).
     std::vector<basic_key_range<K>> probe_ranges;
     typename basic_sfc_array<K>::probe_hint hint;  // probe-locality cursor
   };

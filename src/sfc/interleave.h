@@ -16,7 +16,8 @@
 // pdep(coord >> first_level(w), in-word stride mask) — one _pdep_u64 per
 // word per dimension instead of one set_bit per key bit. The intrinsic
 // paths are selected by a cached runtime CPUID check with the portable
-// loop as fallback; interleave_bits_loop/deinterleave_bits_loop are the
+// loop as fallback (SUBCOVER_FORCE_SCALAR forces the fallback);
+// interleave_bits_loop/deinterleave_bits_loop are the
 // reference kernels the equivalence tests pin every path against
 // (tests/sfc/interleave_test.cc).
 #pragma once
@@ -68,8 +69,8 @@ inline void deinterleave_bits_loop(const K& key, std::uint32_t* coords, int dims
 #if SUBCOVER_BMI2_DISPATCH
 
 // The shared cached probe (util/cpu_features.h): one CPUID query per
-// process, one SUBCOVER_FORCE_SCALAR escape hatch covering this dispatch
-// and the SIMD kernel ladder alike. The branch is perfectly predicted after
+// process, and the SUBCOVER_FORCE_SCALAR escape hatch that pins this
+// dispatch to the portable loop. The branch is perfectly predicted after
 // the first call.
 inline bool cpu_has_bmi2() { return cpu_features().bmi2; }
 

@@ -1,12 +1,9 @@
 #include "sfcarray/compressed_run_store.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
-#include "util/simd_kernels.h"
 
 namespace subcover {
 
@@ -68,14 +65,10 @@ void compressed_run_store<K>::rebuild_envelopes() {
 template <class K>
 std::size_t compressed_run_store<K>::block_geq(const K& key) const {
   // Envelope his are strictly increasing, so block assignment is a plain
-  // partition point over the hi column — vectorized at u64 width, a
-  // column-local (cache-dense) binary search at the wide widths.
-  if constexpr (std::is_same_v<K, std::uint64_t>) {
-    return simd::lower_bound_u64(env_hi_.data(), env_hi_.size(), key);
-  } else {
-    const auto it = std::lower_bound(env_hi_.begin(), env_hi_.end(), key);
-    return static_cast<std::size_t>(it - env_hi_.begin());
-  }
+  // partition point over the hi column: a column-local (cache-dense)
+  // binary search.
+  const auto it = std::lower_bound(env_hi_.begin(), env_hi_.end(), key);
+  return static_cast<std::size_t>(it - env_hi_.begin());
 }
 
 template <class K>
@@ -255,16 +248,9 @@ std::optional<typename compressed_run_store<K>::entry> compressed_run_store<K>::
   if (block_hint != nullptr && *block_hint != npos) {
     // Resumed sweep: lows are non-decreasing across calls, so the first
     // block with hi >= r.lo can only be at or after the previous answer.
-    // The forward scan runs over the contiguous hi column — several
-    // envelopes per compare at the narrow widths.
-    if constexpr (std::is_same_v<K, std::uint64_t>) {
-      b = simd::first_geq_u64(env_hi_.data(), *block_hint, env_hi_.size(), r.lo);
-    } else if constexpr (std::is_same_v<K, u128>) {
-      b = simd::first_geq_u128(env_hi_.data(), *block_hint, env_hi_.size(), r.lo);
-    } else {
-      b = *block_hint;
-      while (b < env_hi_.size() && env_hi_[b] < r.lo) ++b;
-    }
+    // The forward scan runs over the contiguous hi column.
+    b = *block_hint;
+    while (b < env_hi_.size() && env_hi_[b] < r.lo) ++b;
   } else {
     b = block_geq(r.lo);
   }
@@ -324,35 +310,15 @@ std::uint64_t compressed_run_store<K>::count_in(const range_type& r) const {
   if (blocks_.empty() || r.lo > r.hi) return 0;
   // Intersecting blocks form the contiguous window [b0, b1): b0 is the
   // first block whose envelope reaches r.lo, b1 the first whose low is past
-  // r.hi. Classify the whole window with one batched containment mask (at
-  // u64 width), then only partially-overlapped blocks decode.
+  // r.hi. Only partially-overlapped blocks decode.
   const std::size_t b0 = block_geq(r.lo);
-  std::size_t b1;
-  if constexpr (std::is_same_v<K, std::uint64_t>) {
-    b1 = r.hi == std::numeric_limits<std::uint64_t>::max()
-             ? env_lo_.size()
-             : simd::lower_bound_u64(env_lo_.data(), env_lo_.size(), r.hi + 1);
-  } else {
-    const auto it = std::upper_bound(env_lo_.begin(), env_lo_.end(), r.hi);
-    b1 = static_cast<std::size_t>(it - env_lo_.begin());
-  }
+  const std::size_t b1 = static_cast<std::size_t>(
+      std::upper_bound(env_lo_.begin(), env_lo_.end(), r.hi) - env_lo_.begin());
   if (b0 >= b1) return 0;
-
-  const std::size_t w = b1 - b0;
-  if constexpr (std::is_same_v<K, std::uint64_t>) {
-    if (contained_.size() < w) contained_.resize(w);
-    simd::contained_mask_u64(env_lo_.data() + b0, env_hi_.data() + b0, w, r.lo, r.hi,
-                             contained_.data());
-  } else {
-    if (contained_.size() < w) contained_.resize(w);
-    for (std::size_t i = 0; i < w; ++i) {
-      contained_[i] = (r.lo <= env_lo_[b0 + i] && env_hi_[b0 + i] <= r.hi) ? 1 : 0;
-    }
-  }
 
   std::uint64_t total = 0;
   for (std::size_t b = b0; b < b1; ++b) {
-    if (contained_[b - b0] != 0) {
+    if (r.lo <= env_lo_[b] && env_hi_[b] <= r.hi) {
       total += summaries_[b].count;  // fully contained: the summary already knows
       continue;
     }
@@ -414,7 +380,6 @@ std::size_t compressed_run_store<K>::memory_footprint() const {
   total += env_lo_.capacity() * sizeof(K);
   total += env_hi_.capacity() * sizeof(K);
   total += cache_.capacity() * sizeof(entry);
-  total += contained_.capacity();
   total += dead_.capacity() * sizeof(entry);
   return total;
 }

@@ -17,15 +17,11 @@
 // entry") from the summaries alone, without decoding a byte.
 //
 // The envelope endpoints are additionally mirrored into two contiguous key
-// columns (env_lo_/env_hi_), so the summary filtering runs as lane scans
-// through util/simd_kernels.h at the narrow widths: block assignment is a
-// vectorized partition point over the hi column, a resumed frontier sweep
-// rejects non-intersecting blocks with a batched first-geq scan (several
-// envelopes per compare), and count_in classifies fully-contained blocks
-// with one batched containment mask instead of per-block branches.
-// Dispatch is process-wide (util/cpu_features.h; SUBCOVER_FORCE_SCALAR
-// pins the kernels to their scalar backend). Answers are byte-identical
-// at every tier.
+// columns (env_lo_/env_hi_), so the summary filtering runs as cache-dense
+// column scans: block assignment is a partition point over the hi column,
+// a resumed frontier sweep rejects non-intersecting blocks with a forward
+// scan of that column, and count_in answers fully-contained blocks from
+// both columns without decoding. The same loops run at every key width.
 //
 // Invariants:
 //   * Entries are globally sorted by (key, id); blocks partition them.
@@ -224,15 +220,13 @@ class compressed_run_store {
   double min_live_fraction_ = 0.5;
   maintenance_counters maint_;
   // Envelope key columns mirroring summaries_ (env_lo_[b] == summaries_[b].lo,
-  // env_hi_[b] == summaries_[b].hi): the contiguous lanes the vectorized
-  // summary scans walk. Kept in sync by rebuild_envelopes().
+  // env_hi_[b] == summaries_[b].hi): the contiguous lanes the summary
+  // scans walk. Kept in sync by rebuild_envelopes().
   std::vector<K> env_lo_;
   std::vector<K> env_hi_;
   // Decode scratch: one block's entries, reused across probes.
   mutable std::vector<entry> cache_;
   mutable std::size_t cached_block_ = npos;
-  // Containment-mask scratch for count_in, reused across calls.
-  mutable std::vector<std::uint8_t> contained_;
 };
 
 extern template class compressed_run_store<std::uint64_t>;

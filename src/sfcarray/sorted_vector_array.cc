@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <type_traits>
-
-#include "util/simd_kernels.h"
 
 namespace subcover {
 
@@ -22,29 +19,15 @@ struct entry_cmp {
 // Key-only lower bound over the entry window [first, last), in pair indices.
 // Every probe the query path issues carries id 0, so entry_less(e, probe)
 // reduces to e.key < key and the bound is a pure key-column partition point.
-// For u64 keys the 16-byte entries are exactly interleaved {key, id} u64
-// words, the layout the vectorized pairwise kernel walks (the kernels
-// follow the process-wide CPU dispatch of util/cpu_features.h —
-// SUBCOVER_FORCE_SCALAR pins them to the scalar backend); wide keys keep
-// std::lower_bound.
 template <class K, class Entry>
 std::size_t key_lower_bound(const std::vector<Entry>& entries, std::size_t first,
                             std::size_t last, const K& key) {
-  if constexpr (std::is_same_v<K, std::uint64_t>) {
-    static_assert(sizeof(Entry) == 2 * sizeof(std::uint64_t) &&
-                      offsetof(Entry, key) == 0 && offsetof(Entry, id) == sizeof(std::uint64_t),
-                  "kernel layout contract: entries are {key, id} u64 pairs");
-    return simd::lower_bound_kv_u64(reinterpret_cast<const std::uint64_t*>(entries.data()),
-                                    first, last, key);
-  } else {
-    const Entry probe{key, 0};
-    const auto begin = entries.begin();
-    return static_cast<std::size_t>(
-        std::lower_bound(begin + static_cast<std::ptrdiff_t>(first),
-                         begin + static_cast<std::ptrdiff_t>(last), probe,
-                         entry_cmp<Entry>{}) -
-        begin);
-  }
+  const Entry probe{key, 0};
+  const auto begin = entries.begin();
+  return static_cast<std::size_t>(std::lower_bound(begin + static_cast<std::ptrdiff_t>(first),
+                                                   begin + static_cast<std::ptrdiff_t>(last),
+                                                   probe, entry_cmp<Entry>{}) -
+                                  begin);
 }
 }  // namespace
 

@@ -6,7 +6,7 @@
 //
 // Erase marks a tombstone instead of splicing the vector: a parallel dead
 // bitmap (lazily allocated — insert/query-only workloads pay nothing) keeps
-// the entry column contiguous for the SIMD lower-bound kernels, and probes
+// the entry column contiguous for the binary-search probes, and probes
 // skip dead slots after the bound. When the live fraction drops below the
 // compaction threshold (set_compaction_policy, default 0.5), the next erase
 // or maintain() compacts the vector in one stable pass — so sustained churn
@@ -27,11 +27,9 @@
 // right — no restart from index 0), making M probes one left-to-right pass
 // whose total cost is O(M + log n + log of the total distance swept).
 //
-// Probe-side lower bounds are key-only (query probes carry id 0, so the
-// (key, id) order degenerates to the key order) and run through the
-// vectorized partition-point kernel of util/simd_kernels.h at u64 width —
-// the 16-byte entries are exactly the interleaved {key, id} pair layout the
-// kernel walks. Dispatch is process-wide (util/cpu_features.h).
+// Probe-side lower bounds are key-only: query probes carry id 0, so the
+// (key, id) order degenerates to the key order, and the bound is one
+// std::lower_bound over the entry window at every key width.
 #pragma once
 
 #include <vector>

@@ -11,14 +11,9 @@ cpu_features_t probe() {
   cpu_features_t f;
   const char* env = std::getenv("SUBCOVER_FORCE_SCALAR");
   f.force_scalar = env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-  if (f.force_scalar) return f;  // everything stays at the scalar defaults
+  if (f.force_scalar) return f;  // bmi2 stays false
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   f.bmi2 = __builtin_cpu_supports("bmi2") != 0;
-  if (__builtin_cpu_supports("avx2") != 0) {
-    f.simd = simd_level::avx2;
-  } else if (__builtin_cpu_supports("sse4.2") != 0) {
-    f.simd = simd_level::sse42;
-  }
 #endif
   return f;
 }
@@ -28,18 +23,6 @@ cpu_features_t probe() {
 const cpu_features_t& cpu_features() {
   static const cpu_features_t f = probe();
   return f;
-}
-
-const char* simd_level_name(simd_level level) {
-  switch (level) {
-    case simd_level::sse42:
-      return "sse4.2";
-    case simd_level::avx2:
-      return "avx2";
-    case simd_level::scalar:
-      break;
-  }
-  return "scalar";
 }
 
 }  // namespace subcover

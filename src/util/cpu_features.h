@@ -1,35 +1,24 @@
-// cpu_features — the single cached CPUID probe behind every runtime-dispatched
-// kernel in the tree (BMI2 interleave in sfc/interleave.h, the SIMD kernel
-// ladder in util/simd_kernels.h).
+// cpu_features — the single cached CPUID probe behind the runtime-dispatched
+// BMI2 interleave in sfc/interleave.h.
 //
 // One probe, one escape hatch: the feature set is read exactly once (first
 // call), and the SUBCOVER_FORCE_SCALAR environment variable — read at the
-// same moment — downgrades every dispatched kernel in the process to its
-// portable scalar reference. That replaces the per-TU `static const bool`
-// pattern the BMI2 dispatch used to carry: one place to probe, one place to
-// force the fallback paths in CI, and a perfectly predicted branch after the
-// first call either way.
+// same moment — downgrades the process to the portable per-bit interleave
+// loop. One place to probe, one place to force the fallback path in CI, and
+// a perfectly predicted branch after the first call either way.
 //
-// Dispatched kernels are byte-identical to their scalar references by
-// contract (pinned by tests/util/simd_kernels_test.cc and the interleave
-// equivalence tests), so the hatch changes speed, never answers.
+// The BMI2 kernels are byte-identical to the loop by contract (pinned by
+// the interleave equivalence tests), so the hatch changes speed, never
+// answers.
 #pragma once
 
 namespace subcover {
 
-// Instruction-set tiers of the SIMD kernel ladder (util/simd_kernels.h).
-// Ordered: a CPU at tier T runs every kernel of tiers <= T.
-enum class simd_level { scalar = 0, sse42 = 1, avx2 = 2 };
-
-[[nodiscard]] const char* simd_level_name(simd_level level);
-
 struct cpu_features_t {
   // BMI2 pdep/pext (the interleave kernels).
   bool bmi2 = false;
-  // Best available kernel tier for the lane kernels.
-  simd_level simd = simd_level::scalar;
   // SUBCOVER_FORCE_SCALAR was set (non-empty, not "0") when the process
-  // first probed; bmi2/simd are already downgraded accordingly.
+  // first probed; bmi2 is already downgraded accordingly.
   bool force_scalar = false;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "broker/codec.h"
@@ -120,6 +121,67 @@ TEST(WireTest, RoundTripEveryMessageType) {
     EXPECT_EQ(encode_msg(back), encode_msg(m)) << "type " << static_cast<int>(m.type);
     EXPECT_FALSE(dec.next().has_value());
     EXPECT_EQ(dec.buffered(), 0u);
+  }
+}
+
+// Every counter distinct, (i + 1) << 2i for the i-th field in wire order, so
+// the varints run from one to nine bytes and a swapped pair of fields moves
+// bytes.
+network_metrics distinct_metrics() {
+  network_metrics m;
+  m.subscription_messages = std::uint64_t{1} << 0;
+  m.unsubscription_messages = std::uint64_t{2} << 2;
+  m.reforwards = std::uint64_t{3} << 4;
+  m.event_messages = std::uint64_t{4} << 6;
+  m.deliveries = std::uint64_t{5} << 8;
+  m.covering_checks = std::uint64_t{6} << 10;
+  m.covering_hits = std::uint64_t{7} << 12;
+  m.covering_check_ns = std::uint64_t{8} << 14;
+  m.covering_runs_probed = std::uint64_t{9} << 16;
+  m.covering_probes_restarted = std::uint64_t{10} << 18;
+  m.covering_probes_resumed = std::uint64_t{11} << 20;
+  m.covering_tier_cold_probes = std::uint64_t{12} << 22;
+  m.covering_tier_summary_answers = std::uint64_t{13} << 24;
+  m.covering_tier_blocks_decoded = std::uint64_t{14} << 26;
+  m.covering_tier_cold_hits = std::uint64_t{15} << 28;
+  m.covering_maint_tombstones = std::uint64_t{16} << 30;
+  m.covering_maint_purged = std::uint64_t{17} << 32;
+  m.covering_maint_compactions = std::uint64_t{18} << 34;
+  m.retries = std::uint64_t{19} << 36;
+  m.duplicates_suppressed = std::uint64_t{20} << 38;
+  m.recoveries = std::uint64_t{21} << 40;
+  m.wal_bytes = std::uint64_t{22} << 42;
+  m.reconnects = std::uint64_t{23} << 44;
+  m.heartbeats_missed = std::uint64_t{24} << 46;
+  m.bytes_on_wire = std::uint64_t{25} << 48;
+  m.partial_writes = std::uint64_t{26} << 50;
+  return m;
+}
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char digits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += digits[b >> 4];
+    out += digits[b & 0xF];
+  }
+  return out;
+}
+
+// The dump_reply payload is a wire format other daemons read: its bytes,
+// field order included, must not move when network_metrics is refactored.
+TEST(WireTest, MetricsPayloadMatchesGoldenBytes) {
+  wire_msg reply;
+  reply.type = msg_type::dump_reply;
+  reply.metrics = distinct_metrics();
+  const auto bytes = encode_msg(reply);
+  EXPECT_EQ(hex(bytes),
+            "0c001a0108308002800a803080e0018080088080248080a0018080c0058080801880808068808080c0"
+            "03808080800f80808080408080808090028080808080098080808080268080808080a0018080808080"
+            "a005808080808080168080808080805c8080808080808003808080808080c00c8080808080808034");
+  const wire_msg back = decode_msg(bytes.data(), bytes.size());
+  for (const metrics_field& f : kMetricsFields) {
+    EXPECT_EQ(back.metrics.*f.member, reply.metrics.*f.member) << f.name;
   }
 }
 

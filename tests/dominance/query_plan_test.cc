@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "dominance/dominance_index.h"
+#include "support/query_stats_eq.h"
 #include "util/random.h"
 
 namespace {
@@ -51,18 +52,6 @@ point random_point(rng& gen, const universe& u) {
   for (int i = 0; i < u.dims(); ++i)
     p[i] = static_cast<std::uint32_t>(gen.uniform(0, u.coord_max()));
   return p;
-}
-
-// All deterministic stats fields (everything except elapsed_ns).
-void expect_same_stats(const query_stats& a, const query_stats& b, const std::string& what) {
-  EXPECT_EQ(a.cubes_enumerated, b.cubes_enumerated) << what;
-  EXPECT_EQ(a.runs_in_plan, b.runs_in_plan) << what;
-  EXPECT_EQ(a.runs_probed, b.runs_probed) << what;
-  EXPECT_EQ(a.truncation_m, b.truncation_m) << what;
-  EXPECT_EQ(a.volume_fraction_planned, b.volume_fraction_planned) << what;
-  EXPECT_EQ(a.volume_fraction_searched, b.volume_fraction_searched) << what;
-  EXPECT_EQ(a.found, b.found) << what;
-  EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << what;
 }
 
 TEST(QueryPlan, AllEntryPointsAgreeAcrossRandomUniverses) {
@@ -159,7 +148,7 @@ TEST(QueryPlan, BatchedProbeIsByteIdenticalToSingleRangePath) {
           const auto via_batched = batched_idx.query(x, eps, &st_batched);
           const auto via_single = single_idx.query(x, eps, &st_single);
           EXPECT_EQ(via_batched, via_single) << what;
-          expect_same_stats(st_batched, st_single, what);
+          expect_same_stats(st_batched, st_single, what, stats_fields::logical);
           // The reference path never batches; the batched path restarts at
           // most once per probed level (the head probe) plus once per
           // frontier sweep.

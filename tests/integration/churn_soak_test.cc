@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "covering/sfc_covering_index.h"
+#include "support/query_stats_eq.h"
 #include "workload/churn_gen.h"
 
 namespace subcover {
@@ -29,16 +30,7 @@ void expect_logical_stats_equal(const covering_check_stats& got,
                                 const covering_check_stats& want) {
   EXPECT_EQ(got.found, want.found);
   EXPECT_EQ(got.candidates_checked, want.candidates_checked);
-  const query_stats& g = got.dominance;
-  const query_stats& w = want.dominance;
-  EXPECT_EQ(g.cubes_enumerated, w.cubes_enumerated);
-  EXPECT_EQ(g.runs_in_plan, w.runs_in_plan);
-  EXPECT_EQ(g.runs_probed, w.runs_probed);
-  EXPECT_EQ(g.truncation_m, w.truncation_m);
-  EXPECT_EQ(g.volume_fraction_planned, w.volume_fraction_planned);
-  EXPECT_EQ(g.volume_fraction_searched, w.volume_fraction_searched);
-  EXPECT_EQ(g.found, w.found);
-  EXPECT_EQ(g.budget_exhausted, w.budget_exhausted);
+  expect_same_stats(got.dominance, want.dominance, "covering check", stats_fields::logical);
 }
 
 void run_soak(curve_kind curve, const schema& s, int n_ops, std::uint64_t seed) {

@@ -4,15 +4,20 @@
 // exhaustively over all coordinates on small shapes, randomized on large
 // ones — and the dispatching entry points must agree with the loop at every
 // key width (on non-BMI2 hosts they *are* the loop, so the test still pins
-// the dispatch contract).
+// the dispatch contract). SUBCOVER_FORCE_SCALAR pins the process to the
+// loop, so a second ctest pass with it set proves the portable path on BMI2
+// hosts too.
 #include "sfc/interleave.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 
 #include "geometry/universe.h"
+#include "util/cpu_features.h"
 #include "util/random.h"
 #include "util/wideint.h"
 
@@ -23,6 +28,19 @@ using detail::deinterleave_bits;
 using detail::deinterleave_bits_loop;
 using detail::interleave_bits;
 using detail::interleave_bits_loop;
+
+// The escape hatch: the cached probe reports the environment it saw, and a
+// forced process never takes the BMI2 kernels.
+TEST(Interleave, ForceScalarHatchDowngradesBmi2) {
+  const char* env = std::getenv("SUBCOVER_FORCE_SCALAR");
+  const bool forced = env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
+  const cpu_features_t& f = cpu_features();
+  EXPECT_EQ(f.force_scalar, forced);
+  if (forced) {
+    EXPECT_FALSE(f.bmi2);
+    EXPECT_FALSE(detail::cpu_has_bmi2());
+  }
+}
 
 // Every (dims, bits) shape with dims*bits <= 16: exhaustive over all keys.
 TEST(Interleave, DispatchMatchesLoopExhaustive) {

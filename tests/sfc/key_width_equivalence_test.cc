@@ -1,17 +1,22 @@
 // Width-equivalence property tests (the key-type selection contract of
 // subcover.h): the u64 and u128 instantiations of the SFC pipeline compute
 // bit-identical keys, prefixes, runs and query results to the u512
-// reference instantiation, for all three curves. This is what makes the
-// narrow-key fast path a pure constant-factor optimization.
+// reference instantiation, for all three curves, and dominance queries
+// return the same answers with the same query_stats at every width (batched
+// and single-range probing, skip list and sorted vector, tiering on and
+// off). This is what makes the narrow-key fast path a pure constant-factor
+// optimization.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dominance/dominance_index.h"
 #include "sfc/curve.h"
 #include "sfc/runs.h"
+#include "support/query_stats_eq.h"
 #include "util/key_traits.h"
 #include "util/random.h"
 
@@ -112,58 +117,107 @@ TEST(KeyWidthEquivalence, RunsAgreeOnRandomRects) {
   }
 }
 
-// Dominance queries give identical results *and* identical work counters at
-// every width: same cubes enumerated, same runs probed, same hits.
-TEST(KeyWidthEquivalence, DominanceQueriesAgreeAcrossWidths) {
-  const universe u(3, 8);  // 24 bits: all three widths representable
-  for (const curve_kind kind : kKinds) {
-    SCOPED_TRACE(curve_kind_name(kind));
-    std::vector<std::unique_ptr<dominance_index>> indexes;
-    for (const key_width w : {key_width::w64, key_width::w128, key_width::w512}) {
+point random_point(rng& gen, const universe& u) {
+  point p(u.dims());
+  for (int i = 0; i < u.dims(); ++i)
+    p[i] = static_cast<std::uint32_t>(gen.uniform(0, u.coord_max()));
+  return p;
+}
+
+std::string width_name(key_width w) {
+  switch (w) {
+    case key_width::w64:
+      return "w64";
+    case key_width::w128:
+      return "w128";
+    default:
+      return "w512";
+  }
+}
+
+// Dominance queries give identical results *and* identical query_stats at
+// every width — physical probe-work counters included, since the key width
+// changes how the numbers are computed, never what the plan or the arrays
+// do. Only elapsed_ns may differ.
+TEST(KeyWidthEquivalence, DominanceQueriesAgreeAcrossWidthsAndCurves) {
+  // 24 key bits: representable at all three widths, so the same universe
+  // cross-checks w64 and w128 against the w512 reference on identical data.
+  const universe u(3, 8);
+  rng gen(2024);
+  std::vector<point> stored;
+  for (int i = 0; i < 140; ++i) stored.push_back(random_point(gen, u));
+  std::vector<point> queries;
+  for (int q = 0; q < 24; ++q) queries.push_back(random_point(gen, u));
+
+  for (const curve_kind curve : kKinds) {
+    for (const bool batched : {true, false}) {
+      auto make_index = [&](key_width w) {
+        dominance_options o;
+        o.curve = curve;
+        o.width = w;
+        o.batched_probe = batched;
+        o.array = sfc_array_kind::sorted_vector;
+        auto idx = std::make_unique<dominance_index>(u, o);
+        for (std::size_t i = 0; i < stored.size(); ++i) idx->insert(stored[i], i);
+        return idx;
+      };
+      const auto reference = make_index(key_width::w512);
+      ASSERT_EQ(reference->width(), key_width::w512);
+      for (const key_width w : {key_width::w64, key_width::w128}) {
+        const auto narrow = make_index(w);
+        ASSERT_EQ(narrow->width(), w);
+        for (const double eps : {0.0, 0.05, 0.35}) {
+          for (const auto& x : queries) {
+            const std::string what = std::string(curve_kind_name(curve)) + " " + width_name(w) +
+                                     " batched=" + std::to_string(batched) +
+                                     " eps=" + std::to_string(eps) + " x=" + x.to_string();
+            query_stats sr, sn;
+            const auto rr = reference->query(x, eps, &sr);
+            const auto rn = narrow->query(x, eps, &sn);
+            EXPECT_EQ(rr, rn) << what;
+            expect_same_stats(sr, sn, what);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KeyWidthEquivalence, DominanceQueriesAgreeAcrossWidthsWithTiering) {
+  // 20 key bits: the tiered arrays' envelope scans run at every width too,
+  // so the same cold-tier traffic must produce the same tier_* and maint_*
+  // counters at w64/w128 as at the w512 reference.
+  const universe u(4, 5);
+  for (const auto array : {sfc_array_kind::skiplist, sfc_array_kind::sorted_vector}) {
+    auto make_index = [&](key_width w) {
       dominance_options o;
-      o.curve = kind;
-      o.array = sfc_array_kind::sorted_vector;
+      o.array = array;
       o.width = w;
-      indexes.push_back(std::make_unique<dominance_index>(u, o));
+      o.tier_hot_capacity = 32;  // force cold-tier traffic through the
+      o.tier_block_entries = 8;  // envelope scans
+      return std::make_unique<dominance_index>(u, o);
+    };
+    const auto reference = make_index(key_width::w512);
+    const auto w64 = make_index(key_width::w64);
+    const auto w128 = make_index(key_width::w128);
+    rng gen(55);
+    for (int i = 0; i < 200; ++i) {
+      const point p = random_point(gen, u);
+      reference->insert(p, static_cast<std::uint64_t>(i));
+      w64->insert(p, static_cast<std::uint64_t>(i));
+      w128->insert(p, static_cast<std::uint64_t>(i));
     }
-    EXPECT_EQ(indexes[0]->width(), key_width::w64);
-    EXPECT_EQ(indexes[2]->width(), key_width::w512);
-    rng gen(23);
-    std::vector<std::pair<point, std::uint64_t>> pts;
-    for (std::uint64_t i = 0; i < 500; ++i) {
-      point p(u.dims());
-      for (int j = 0; j < u.dims(); ++j)
-        p[j] = static_cast<std::uint32_t>(gen.uniform(0, u.coord_max()));
-      pts.emplace_back(p, i);
-    }
-    for (auto& idx : indexes) idx->insert_batch(pts);
     for (const double eps : {0.0, 0.1}) {
-      rng qgen(29);
-      for (int trial = 0; trial < 50; ++trial) {
-        point x(u.dims());
-        for (int j = 0; j < u.dims(); ++j)
-          x[j] = static_cast<std::uint32_t>(qgen.uniform(0, u.coord_max()));
-        query_stats st64;
-        query_stats st128;
-        query_stats st512;
-        const auto r64 = indexes[0]->query(x, eps, &st64);
-        const auto r128 = indexes[1]->query(x, eps, &st128);
-        const auto r512 = indexes[2]->query(x, eps, &st512);
-        ASSERT_EQ(r64, r512) << "eps=" << eps << " trial=" << trial;
-        ASSERT_EQ(r128, r512) << "eps=" << eps << " trial=" << trial;
-        ASSERT_EQ(st64.cubes_enumerated, st512.cubes_enumerated);
-        ASSERT_EQ(st128.cubes_enumerated, st512.cubes_enumerated);
-        ASSERT_EQ(st64.runs_in_plan, st512.runs_in_plan);
-        ASSERT_EQ(st128.runs_in_plan, st512.runs_in_plan);
-        ASSERT_EQ(st64.runs_probed, st512.runs_probed);
-        ASSERT_EQ(st128.runs_probed, st512.runs_probed);
-        ASSERT_EQ(st64.volume_fraction_planned, st512.volume_fraction_planned);
-        ASSERT_EQ(st128.volume_fraction_planned, st512.volume_fraction_planned);
-        ASSERT_EQ(st64.volume_fraction_searched, st512.volume_fraction_searched);
-        ASSERT_EQ(st128.volume_fraction_searched, st512.volume_fraction_searched);
-        ASSERT_EQ(st64.truncation_m, st512.truncation_m);
-        ASSERT_EQ(st64.budget_exhausted, st512.budget_exhausted);
-        ASSERT_EQ(st64.found, st512.found);
+      for (int q = 0; q < 25; ++q) {
+        const point x = random_point(gen, u);
+        const std::string what = "array=" + std::to_string(static_cast<int>(array)) +
+                                 " eps=" + std::to_string(eps) + " x=" + x.to_string();
+        query_stats sr, s64, s128;
+        const auto rr = reference->query(x, eps, &sr);
+        EXPECT_EQ(w64->query(x, eps, &s64), rr) << what;
+        EXPECT_EQ(w128->query(x, eps, &s128), rr) << what;
+        expect_same_stats(sr, s64, what + " w64");
+        expect_same_stats(sr, s128, what + " w128");
       }
     }
   }
